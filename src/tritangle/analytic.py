@@ -198,17 +198,14 @@ def solve_p_star(n):
 
 
 def p_c(n):
-    """Point where the squared-concurrence sum first vanishes."""
-    n = _check_n(n)
-    if abs(n - 2.0) < 1e-9:
-        # closed form is 0/0 at n=2; solve the defining equation directly
-        def f(p):
-            q = (1.0 - p) / 2.0
-            return 2.0 * (1.0 - p) - math.sqrt((3.0 * p + 2.0 * q) * (2.0 + p - 2.0 * q))
+    """Point where the squared-concurrence sum first vanishes.
 
-        return float(brentq(f, 0.0, 1.0, xtol=_SOLVER_XTOL))
-    num = (7.0 * n * n - 4.0 * n + 4.0) - 3.0 * n * math.sqrt(5.0 * n * n - 4.0 * n + 4.0)
-    return num / (n - 2.0) ** 2
+    The rationalized form of ((7n^2 - 4n + 4) - 3n sqrt(5n^2 - 4n + 4)) / (n - 2)^2:
+    no cancellation and no pole at n = 2, where it gives 1/4.
+    """
+    n = _check_n(n)
+    den = 7.0 * n * n - 4.0 * n + 4.0 + 3.0 * n * math.sqrt(5.0 * n * n - 4.0 * n + 4.0)
+    return 4.0 * (n * n - n + 1.0) / den
 
 
 def thresholds(n):

@@ -157,34 +157,184 @@ def hjw_ensemble(rho, mixing):
 
 @dataclass(frozen=True)
 class DecompositionSearchResult:
+    """Best ensemble found, plus each restart's final value and evaluation count.
+
+    converged is the best restart's stop-test flag (False when it ran out of
+    evaluations); restart_values and restart_nfev are in restart order.
+    """
+
     upper_bound: float
     best_ensemble: Ensemble
     restarts_used: int
     converged: bool
+    restart_values: tuple
+    restart_nfev: tuple
 
 
-def _objective_factory(basis, m, r):
+def _batched_objective(basis, m, r):
     """Objective over the 2mr real parameters of the pre-QR mixing matrix.
 
-    basis is r x 8 with rows sqrt(l_i) <v_i|; member j is row j of u @ basis.
+    Maps a (k, 2mr) stack of parameter vectors to k average tangles. basis is
+    r x 8 with rows sqrt(l_i) <v_i|; member j is row j of u @ basis.
     """
+    mr = m * r
 
     def objective(x):
-        mat = x[: m * r].reshape(m, r) + 1j * x[m * r :].reshape(m, r)
+        k = x.shape[0]
+        mat = x[:, :mr].reshape(k, m, r) + 1j * x[:, mr:].reshape(k, m, r)
         u, _ = np.linalg.qr(mat)
         tilde = u @ basis
-        ws = np.sum(np.abs(tilde) ** 2, axis=1)
+        ws = np.sum(np.abs(tilde) ** 2, axis=-1)
         raw = tangle_from_amps(tilde)
         mask = ws > _WEIGHT_FLOOR
-        return float(np.sum(raw[mask] / ws[mask]))
+        if mask.all():
+            return np.sum(raw / ws, axis=-1)
+        # a row with a member at or below the weight floor sums its other members
+        # alone: a 0 in that member's place could change numpy's summation order
+        out = np.empty(k)
+        for i in range(k):
+            keep = mask[i]
+            out[i] = np.sum(raw[i][keep] / ws[i][keep])
+        return out
 
     return objective
+
+
+def _nelder_mead_lockstep(fun, x0s, xatol, fatol, maxfev):
+    """Adaptive Nelder-Mead from every row of x0s, all restarts stepped together.
+
+    Each restart follows the arithmetic of
+    scipy.optimize.minimize(method="Nelder-Mead", adaptive=True) with maxfev set,
+    step for step, so it ends at the same point, value, evaluation count and
+    success flag as a scipy run from its own x0 (scipy 1.17). fun maps a (k, N)
+    stack of points to k values; each step evaluates the trial points of every
+    live restart in one call, and the points of any shrinks in one more. Only
+    the evaluations scipy would make count towards nfev. Returns lists
+    (x, fun, nfev, success) in row order.
+    """
+    n_restarts, dim = x0s.shape
+    # dimension-adaptive coefficients; plain Nelder-Mead stalls in ~30 dims
+    chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    # (1 + c) xbar - c x_worst is, for these c, exactly scipy's reflection,
+    # expansion, outside contraction and inside contraction (rho = 1)
+    coefs = np.array([1.0, chi, psi, -psi])[:, None]
+    lead = 1 + coefs
+    last = dim  # index of the worst vertex
+
+    # sim[v, row] is vertex v of the simplex of the restart in that row:
+    # vertex-major, so the centroid sums whole (rows, N) planes
+    diag = np.arange(dim)
+    sim = np.repeat(x0s[None], dim + 1, axis=0)
+    sim[diag + 1, :, diag] = np.where(x0s != 0, (1 + 0.05) * x0s, 0.00025).T
+    fsim = np.full((n_restarts, dim + 1), np.inf)
+    first = min(dim + 1, maxfev)
+    for v in range(first):
+        fsim[:, v] = fun(sim[v])
+    nfev = [first] * n_restarts
+    rows = np.arange(n_restarts)
+    # scipy sorts the initial simplex twice; an unstable sort may reorder ties
+    for _ in range(2):
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[order.T, rows], fsim[rows[:, None], order]
+
+    result_x = [None] * n_restarts
+    result_f = [None] * n_restarts
+    success = [False] * n_restarts
+    ids = list(range(n_restarts))  # restart of each row still searching
+
+    while True:
+        stop = [nfev[k] >= maxfev for k in ids]
+        # scipy's stop test; a row of fsim is sorted, so its largest
+        # |fsim[0] - fsim[j]| is fsim[-1] - fsim[0]
+        flat = (fsim[:, -1] - fsim[:, 0] <= fatol).tolist()
+        if any(flat):
+            test = [row for row, f in enumerate(flat) if f and not stop[row]]
+            near = np.abs(sim[1:, test] - sim[0, test]).max(axis=(0, 2)) <= xatol
+            for row, hit in zip(test, near.tolist()):
+                if hit:
+                    stop[row] = success[ids[row]] = True
+        if any(stop):
+            for row, k in enumerate(ids):
+                if stop[row]:
+                    result_x[k] = sim[0, row].copy()
+                    result_f[k] = float(np.min(fsim[row]))
+            keep = [row for row, done in enumerate(stop) if not done]
+            ids = [ids[row] for row in keep]
+            if not ids:
+                break
+            sim, fsim = sim[:, keep], fsim[keep]
+            rows = np.arange(len(ids))
+        live = len(ids)
+
+        xbar = np.add.reduce(sim[:-1], 0) / dim
+        trial = lead * xbar[:, None] - coefs * sim[last][:, None]  # (live, 4, N)
+        # the reflection and all three possible second points in one call: a
+        # call's fixed cost outweighs its cost per point, so evaluating the
+        # second points a step turns out not to need is cheaper than a second call
+        ftrial = fun(trial.reshape(-1, dim)).reshape(live, 4).tolist()
+
+        # branch on Python floats, as scipy does on scalars
+        ends = fsim[:, [0, -2, -1]].tolist()
+        takes = []  # (row, col): the worst vertex becomes trial[row, col]
+        seconds = []  # (row, col): the second point that row's step needs
+        for row, (f0, f_next, f_worst) in enumerate(ends):
+            k = ids[row]
+            nfev[k] += 1
+            fr = ftrial[row][0]
+            if fr < f0:
+                col = 1
+            elif fr < f_next:
+                takes.append((row, 0))
+                continue
+            elif fr < f_worst:
+                col = 2
+            else:
+                col = 3
+            # with the budget spent scipy stops before the second point and
+            # leaves the simplex as it was
+            if nfev[k] < maxfev:
+                seconds.append((row, col))
+
+        shrink = []
+        for row, col in seconds:
+            nfev[ids[row]] += 1
+            fr, f2 = ftrial[row][0], ftrial[row][col]
+            if col == 1:
+                takes.append((row, 1 if f2 < fr else 0))
+            elif f2 <= fr if col == 2 else f2 < ends[row][2]:
+                takes.append((row, col))
+            else:
+                shrink.append(row)
+        for row, col in takes:
+            sim[last, row] = trial[row, col]
+            fsim[row, last] = ftrial[row][col]
+
+        if shrink:
+            base = sim[0, shrink]
+            moved = base + sigma * (sim[1:, shrink] - base)
+            fmoved = fun(moved.reshape(-1, dim)).reshape(dim, len(shrink))
+            for j, row in enumerate(shrink):
+                k = ids[row]
+                count = min(dim, maxfev - nfev[k])
+                nfev[k] += count
+                # scipy moves the first vertex it has no budget to evaluate, and
+                # that vertex keeps its old value
+                moved_to = min(dim, count + 1)
+                sim[1 : moved_to + 1, row] = moved[:moved_to, j]
+                fsim[row, 1 : count + 1] = fmoved[:count, j]
+
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[order.T, rows], fsim[rows[:, None], order]
+
+    return result_x, result_f, nfev, success
 
 
 def min_avg_tangle(rho, m, restarts=20, seed=0):
     """Upper-bound the convex-roof tangle by searching the mixing isometry.
 
     Deterministic for fixed (rho, m, restarts, seed); the best restart wins.
+    All restarts run together, each exactly as a separate adaptive Nelder-Mead
+    run would.
     """
     if not isinstance(rho, DensityMatrix) or rho.dim != 8:
         raise BadParamsError("min_avg_tangle expects an 8x8 DensityMatrix")
@@ -197,35 +347,21 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
         raise BadParamsError(f"restarts must be >= 1, got {restarts!r}")
     vals, vecs = eigh_desc(rho.mat)
     basis = (vecs[:, :r] * np.sqrt(np.maximum(vals[:r], 0.0))).T  # r x 8
-    objective = _objective_factory(basis, m, r)
-    best_fun = math.inf
-    best_x = None
-    best_success = False
-    for k in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, k)))
-        x0 = rng.standard_normal(2 * m * r)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            # dimension-adaptive simplex coefficients; plain NM stalls in ~30 dims
-            options={
-                "xatol": _SEARCH_XATOL,
-                "fatol": 1e-12,
-                "maxfev": _SEARCH_MAXFEV,
-                "adaptive": True,
-            },
-        )
-        if res.fun < best_fun:
-            best_fun = float(res.fun)
-            best_x = res.x
-            best_success = bool(res.success)
-    mat = best_x[: m * r].reshape(m, r) + 1j * best_x[m * r :].reshape(m, r)
+    seeds = [np.random.SeedSequence(entropy=(seed, k)) for k in range(restarts)]
+    x0s = np.array([np.random.default_rng(s).standard_normal(2 * m * r) for s in seeds])
+    xs, funs, nfev, success = _nelder_mead_lockstep(
+        _batched_objective(basis, m, r), x0s, _SEARCH_XATOL, 1e-12, _SEARCH_MAXFEV
+    )
+    best = min(range(restarts), key=funs.__getitem__)  # first of the minimal values
+    x = xs[best]
+    mat = x[: m * r].reshape(m, r) + 1j * x[m * r :].reshape(m, r)
     u, _ = np.linalg.qr(mat)
     ens = hjw_ensemble(rho, u)
     return DecompositionSearchResult(
         upper_bound=ensemble_average_tangle(ens),
         best_ensemble=ens,
         restarts_used=restarts,
-        converged=best_success,
+        converged=success[best],
+        restart_values=tuple(funs),
+        restart_nfev=tuple(nfev),
     )

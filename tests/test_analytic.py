@@ -27,6 +27,7 @@ from tritangle import (
     symmetric_ensemble,
     thresholds,
 )
+from tritangle import cli
 from tritangle.analytic import _largest_root
 
 N_LIST = (1.0, 2.0, 3.0, 10.0, 100.0, 1000.0)
@@ -288,6 +289,19 @@ def test_p_c_defining_property():
         assert abs(gap) <= 1e-10
         assert concurrence_sum_sq(pc + 1e-6, (1.0 - pc - 1e-6) / n) == 0.0
         assert concurrence_sum_sq(pc - 1e-3, (1.0 - pc + 1e-3) / n) > 0.0
+
+
+@pytest.mark.parametrize("n", [2.0 + 1e-8, 2.0 - 1e-8, 2.0 + 1e-6, 2.0 - 1e-6])
+def test_p_c_continuous_through_n_2(n):
+    assert abs(p_c(n) - 0.25) <= 1e-12
+
+
+def test_thresholds_valid_next_to_n_2(capsys):
+    th = thresholds(2.00000001)
+    assert 0.0 < th.p_c < th.p0 < th.p1 < th.p_star < 1.0
+    assert abs(th.p_c - 0.25) <= 1e-12
+    assert cli.main(["tangle", "--p", "0.8", "--n", "2.00000001"]) == cli.EXIT_OK
+    assert "region=ALPHA_I\n" in capsys.readouterr().out
 
 
 def test_substantial_one_tangle_at_p_c():
