@@ -5,15 +5,18 @@ one_tangle_min and concurrence_sum_sq which take general (p, q).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadParamsError, NoRootError
+from .family import check_n, check_p, check_pq
 
 _SOLVER_XTOL = 1e-13
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 _ORDER_TOL = 1e-9
 _SCAN_INTERVALS = 2048
 
@@ -65,12 +68,6 @@ class PiecewiseTangle:
     value: float
 
 
-def _check_n(n):
-    if n < 1.0 - 1e-12:
-        raise BadParamsError(f"n must be >= 1, got {n!r}")
-    return float(n)
-
-
 def _coeffs(n):
     """Shared coefficients of the region-I curve and its derivatives."""
     c_lin = 4.0 * math.sqrt(n - 1.0) / n
@@ -81,9 +78,9 @@ def _coeffs(n):
 
 def alpha_I(p, n):
     """Average member tangle of the symmetric ensemble at q = (1-p)/n."""
-    n = _check_n(n)
+    n = check_n(n)
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
         raise BadParamsError("p must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     c_lin, c_quad, c_root = _coeffs(n)
@@ -100,9 +97,9 @@ def alpha_I(p, n):
 
 def alpha_I_dd(p, n):
     """Closed-form second derivative of alpha_I; singular at p in {0, 1}."""
-    n = _check_n(n)
+    n = check_n(n)
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise BadParamsError("alpha_I_dd requires 0 < p < 1")
     bracket = 9.0 * n * n + 36.0 * n * math.sqrt(n - 1.0) - 12.0 * (n - 1.0)
     c = math.sqrt(6.0 * n) * (1.0 + (n - 1.0) ** 1.5)
@@ -116,8 +113,8 @@ def alpha_I_dd(p, n):
 
 def alpha_II(p, n, p1):
     """Chord from (p1, alpha_I(p1)) to (1, 1)."""
-    n = _check_n(n)
-    if p1 >= 1.0:
+    n = check_n(n)
+    if not p1 < 1.0:
         raise BadParamsError(f"p1 must be < 1, got {p1!r}")
     p = np.asarray(p, dtype=float)
     val = (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * alpha_I(p1, n)
@@ -133,68 +130,120 @@ def _scan_values(f, xs):
     return fs
 
 
-def _largest_root(f, lo, hi, intervals):
-    """Largest sign-change root of f on [lo, hi]; scans from hi downward."""
-    xs = np.linspace(lo, hi, intervals + 1)
-    fs = _scan_values(f, xs)
-    for i in range(intervals - 1, -1, -1):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            return float(a)
-        if fb == 0.0:
-            return float(b)
-        if fa * fb < 0.0:
-            return float(brentq(f, a, b, xtol=_SOLVER_XTOL))
-    raise NoRootError(f"no sign change of {f.__name__!r} in [{lo}, {hi}]")
+def brentq(f, a, b, xtol):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy 1.17's C brentq with rtol = 4 eps: the same
+    steps give the same root bit for bit, without importing scipy.optimize.
+    Raises NoRootError when f(a) and f(b) have the same sign, when f returns
+    NaN, or when 100 iterations do not converge.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NoRootError(f"{f.__name__!r} is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # C tests signbit; with zeros returned and NaN refused, < 0 is the same test
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoRootError(f"{f.__name__!r} has the same sign at {xpre!r} and {xcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # in C a zero den gives an infinite or NaN step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise NoRootError(f"{f.__name__!r}: no convergence after {_BRENT_MAXITER} iterations")
 
 
-def _smallest_root(f, lo, hi, intervals):
+def _bracket_root(f, lo, hi, intervals, largest):
+    """Largest or smallest sign-change root of f on [lo, hi].
+
+    f is scanned on intervals + 1 even points; the last or first interval with
+    an exact zero at an end or a sign change decides, the zero before brentq.
+    """
     xs = np.linspace(lo, hi, intervals + 1)
     fs = _scan_values(f, xs)
-    for i in range(intervals):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            return float(a)
-        if fb == 0.0:
-            return float(b)
-        if fa * fb < 0.0:
-            return float(brentq(f, a, b, xtol=_SOLVER_XTOL))
-    raise NoRootError(f"no sign change of {f.__name__!r} in [{lo}, {hi}]")
+    fa, fb = fs[:-1], fs[1:]
+    hits = np.flatnonzero((fa == 0.0) | (fb == 0.0) | (fa * fb < 0.0))
+    if hits.size == 0:
+        raise NoRootError(f"no sign change of {f.__name__!r} in [{lo}, {hi}]")
+    i = hits[-1] if largest else hits[0]
+    if fa[i] == 0.0:
+        return float(xs[i])
+    if fb[i] == 0.0:
+        return float(xs[i + 1])
+    return brentq(f, xs[i], xs[i + 1], _SOLVER_XTOL)
 
 
 def solve_p0(n):
     """Largest zero of alpha_I on (0, 1); the phase-zero curve's last crossing."""
-    n = _check_n(n)
+    n = check_n(n)
 
     def f(p):
         return alpha_I(p, n)
 
-    return _largest_root(f, 0.5, 1.0 - 1e-9, _SCAN_INTERVALS)
+    return _bracket_root(f, 0.5, 1.0 - 1e-9, _SCAN_INTERVALS, largest=True)
 
 
 def solve_p1(n):
     """Tangency point: where the chord to (1,1) touches the region-I curve."""
-    n = _check_n(n)
+    n = check_n(n)
     c_lin, c_quad, c_root = _coeffs(n)
     rhs = 1.0 + c_lin - c_quad
 
     def f(p):
         return (c_root / 2.0) * (2.0 * p - 1.0) / np.sqrt(p * (1.0 - p)) - rhs
 
-    return _smallest_root(f, 0.5 + 1e-9, 1.0 - 1e-9, _SCAN_INTERVALS)
+    return _bracket_root(f, 0.5 + 1e-9, 1.0 - 1e-9, _SCAN_INTERVALS, largest=False)
 
 
 def solve_p_star(n):
     """Concavity onset: zero of the second derivative of alpha_I."""
-    n = _check_n(n)
+    n = check_n(n)
     p0 = solve_p0(n)
 
     def f(p):
         return alpha_I_dd(p, n)
 
-    return _smallest_root(f, p0, 1.0 - 1e-6, _SCAN_INTERVALS)
+    return _bracket_root(f, p0, 1.0 - 1e-6, _SCAN_INTERVALS, largest=False)
 
 
 def p_c(n):
@@ -203,26 +252,24 @@ def p_c(n):
     The rationalized form of ((7n^2 - 4n + 4) - 3n sqrt(5n^2 - 4n + 4)) / (n - 2)^2:
     no cancellation and no pole at n = 2, where it gives 1/4.
     """
-    n = _check_n(n)
+    n = check_n(n)
     den = 7.0 * n * n - 4.0 * n + 4.0 + 3.0 * n * math.sqrt(5.0 * n * n - 4.0 * n + 4.0)
     return 4.0 * (n * n - n + 1.0) / den
 
 
 def thresholds(n):
     """Solve all four boundary points for one n."""
-    n = _check_n(n)
+    n = check_n(n)
     return Thresholds(n=n, p0=solve_p0(n), p1=solve_p1(n), p_star=solve_p_star(n), p_c=p_c(n))
 
 
 def mixed_three_tangle(p, n, th=None):
     """Piecewise mixture tangle: 0, alpha_I, or alpha_II by region."""
-    n = _check_n(n)
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise BadParamsError(f"p must lie in [0, 1], got {p!r}")
-    p = min(max(float(p), 0.0), 1.0)
+    n = check_n(n)
+    p = check_p(p)
     if th is None:
         th = thresholds(n)
-    elif abs(th.n - n) > 1e-9:
+    elif not abs(th.n - n) <= 1e-9:
         raise BadParamsError(f"thresholds were solved for n={th.n}, not n={n}")
     if p <= th.p0:
         return PiecewiseTangle(Region.ZERO, 0.0)
@@ -233,8 +280,7 @@ def mixed_three_tangle(p, n, th=None):
 
 def one_tangle_min(p, q):
     """Minimum one-tangle 4 min det rho_A of the mixture, closed form."""
-    if p < -1e-12 or q < -1e-12 or p + q > 1.0 + 1e-12:
-        raise BadParamsError(f"require 0 <= p, 0 <= q, p + q <= 1; got p={p!r}, q={q!r}")
+    check_pq(p, q)
     p = max(float(p), 0.0)
     q = max(float(q), 0.0)
     r = max(1.0 - p - q, 0.0)
@@ -247,8 +293,7 @@ def one_tangle_min(p, q):
 
 def concurrence_sum_sq(p, q):
     """C_AB^2 + C_AC^2 of the mixture, closed form."""
-    if p < -1e-12 or q < -1e-12 or p + q > 1.0 + 1e-12:
-        raise BadParamsError(f"require 0 <= p, 0 <= q, p + q <= 1; got p={p!r}, q={q!r}")
+    check_pq(p, q)
     p = max(float(p), 0.0)
     q = max(float(q), 0.0)
     c = (2.0 / 3.0) * (1.0 - p) - (1.0 / 3.0) * math.sqrt(
@@ -271,7 +316,7 @@ class CkwAudit:
 
 
 def ckw_audit(n, grid_size, th=None):
-    n = _check_n(n)
+    n = check_n(n)
     if grid_size < 2:
         raise BadParamsError(f"grid_size must be >= 2, got {grid_size!r}")
     if th is None:

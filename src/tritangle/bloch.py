@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .errors import BadDimensionError, BadParamsError, EmptyInputError, OutOfSpanError
-from .family import ghz, w, w_tilde, z_state
+from .family import check_n, ghz, w, w_tilde, z_state
 from .states import DensityMatrix
 
 _SQRT3 = math.sqrt(3.0)
@@ -67,11 +67,9 @@ def zero_tangle_vertices(n, p0):
 
     Row order: W, W~, then the three Z(p0, (1-p0)/n) phase vertices.
     """
-    if n < 1.0 - 1e-12:
-        raise BadParamsError(f"n must be >= 1, got {n!r}")
+    n = check_n(n)
     if not 0.0 < p0 < 1.0:
         raise BadParamsError(f"p0 must lie in (0, 1), got {p0!r}")
-    n = float(n)
     xi1 = math.sqrt(p0 * (1.0 - p0) / n)
     xi2 = math.sqrt(n - 1.0) * xi1
     xi3 = math.sqrt(n - 1.0) * (1.0 - p0) / n
@@ -109,8 +107,7 @@ def zero_tangle_vertices(n, p0):
 
 def vertex_states(n, p0):
     """Pure states behind zero_tangle_vertices, in the same row order."""
-    if n < 1.0 - 1e-12:
-        raise BadParamsError(f"n must be >= 1, got {n!r}")
+    n = check_n(n)
     q0 = (1.0 - p0) / n
     return [
         w(),

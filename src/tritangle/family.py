@@ -10,6 +10,9 @@ from .errors import BadParamsError
 from .states import DensityMatrix, Ensemble, PureState3
 
 PARAM_TOL = 1e-12
+# largest accepted n: above it the threshold closed forms overflow
+# (alpha_I_dd warns from about 5e152, n * n overflows from about 1.3e154)
+N_MAX = 1e150
 
 _GHZ = np.zeros(8, dtype=complex)
 _GHZ[[0, 7]] = 1.0 / math.sqrt(2.0)
@@ -49,14 +52,32 @@ def w_tilde():
     return PureState3(_W_TILDE)
 
 
-def _check_pq(p, q):
-    if p < -PARAM_TOL or q < -PARAM_TOL or p + q > 1.0 + PARAM_TOL:
+# The parameter checks every module shares. Each is written as "not inside the
+# accepted range", so NaN is refused as well.
+
+
+def check_n(n):
+    """n as a float in [1, N_MAX]; values within PARAM_TOL below 1 become 1."""
+    if not 1.0 - PARAM_TOL <= n <= N_MAX:
+        raise BadParamsError(f"n must be a number in [1, {N_MAX:g}], got {n!r}")
+    return max(float(n), 1.0)
+
+
+def check_p(p):
+    """p as a float in [0, 1]; values within PARAM_TOL outside are clipped."""
+    if not -PARAM_TOL <= p <= 1.0 + PARAM_TOL:
+        raise BadParamsError(f"p must lie in [0, 1], got {p!r}")
+    return min(max(float(p), 0.0), 1.0)
+
+
+def check_pq(p, q):
+    if not (p >= -PARAM_TOL and q >= -PARAM_TOL and p + q <= 1.0 + PARAM_TOL):
         raise BadParamsError(f"require 0 <= p, 0 <= q, p + q <= 1; got p={p!r}, q={q!r}")
 
 
 def z_state(p, q, phi1=0.0, phi2=0.0):
     """sqrt(p)|GHZ> - e^{i phi1} sqrt(q)|W> - e^{i phi2} sqrt(1-p-q)|W~>."""
-    _check_pq(p, q)
+    check_pq(p, q)
     r = max(1.0 - p - q, 0.0)
     amps = (
         math.sqrt(max(p, 0.0)) * _GHZ
@@ -68,7 +89,7 @@ def z_state(p, q, phi1=0.0, phi2=0.0):
 
 def z_tangle_closed(p, q, phi1=0.0, phi2=0.0):
     """Closed-form three-tangle of z_state; broadcasts over phase arrays."""
-    _check_pq(p, q)
+    check_pq(p, q)
     p = float(p)
     q = float(q)
     r = max(1.0 - p - q, 0.0)
@@ -89,7 +110,7 @@ def z_tangle_closed(p, q, phi1=0.0, phi2=0.0):
 
 def rho(p, q):
     """p |GHZ><GHZ| + q |W><W| + (1-p-q) |W~><W~|; rank <= 3."""
-    _check_pq(p, q)
+    check_pq(p, q)
     r = max(1.0 - p - q, 0.0)
     mat = (
         p * np.outer(_GHZ, _GHZ.conj())
@@ -101,7 +122,7 @@ def rho(p, q):
 
 def symmetric_ensemble(p, q):
     """Equal-weight three-member Z ensemble realizing rho(p,q)."""
-    _check_pq(p, q)
+    check_pq(p, q)
     return Ensemble(
         [(1.0 / 3.0, z_state(p, q, f1, f2)) for f1, f2 in SYMMETRIC_PHASES]
     )
@@ -113,11 +134,9 @@ def optimal_decomposition(p, n, th):
     th must be the Thresholds record for the same n. Members with weight
     <= 1e-14 are dropped so boundary calls return the short ensembles.
     """
-    if p < -PARAM_TOL or p > 1.0 + PARAM_TOL:
-        raise BadParamsError(f"p must lie in [0, 1], got {p!r}")
-    if abs(th.n - n) > 1e-9:
+    p = check_p(p)
+    if not abs(th.n - n) <= 1e-9:
         raise BadParamsError(f"thresholds were solved for n={th.n}, not n={n}")
-    p = min(max(float(p), 0.0), 1.0)
     p0, p1 = th.p0, th.p1
     if p < p0:
         q0 = (1.0 - p0) / n
@@ -141,11 +160,9 @@ def pi_state(p, n):
 
     n may be math.inf, in which case the W term drops out.
     """
-    if p < -PARAM_TOL or p > 1.0 + PARAM_TOL:
-        raise BadParamsError(f"p must lie in [0, 1], got {p!r}")
-    if not math.isinf(n) and n < 1.0 - PARAM_TOL:
+    p = check_p(p)
+    if not (n == math.inf or n >= 1.0 - PARAM_TOL):
         raise BadParamsError(f"n must be >= 1 or infinity, got {n!r}")
-    p = min(max(float(p), 0.0), 1.0)
     if math.isinf(n):
         qn = 0.0
     else:

@@ -6,10 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
-from .family import z_tangle_closed
+from .family import check_n, z_tangle_closed
 from .measures import ensemble_average_tangle, tangle_from_amps
 from .states import DensityMatrix, Ensemble, eigh_desc, pure_from_amplitudes
 
@@ -41,14 +40,21 @@ class CharCurve:
         return "\n".join(lines) + "\n"
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: characteristic_curve is
+    the only caller, so importing the package does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def characteristic_curve(n, p_points=401, phi_points=64):
     """Minimize the closed-form Z tangle over the phase torus at each p.
 
     Coarse phi grid first, then simplex refinement of the best grid point
     down to 1e-8 in phase.
     """
-    if n < 1.0 - 1e-12:
-        raise BadParamsError(f"n must be >= 1, got {n!r}")
+    n = check_n(n)
     if p_points < 2:
         raise BadParamsError(f"p_points must be >= 2, got {p_points!r}")
     if phi_points < 4:
@@ -81,7 +87,7 @@ def characteristic_curve(n, p_points=401, phi_points=64):
         else:
             tau[i] = float(res.fun)
             arg1[i], arg2[i] = np.mod(res.x, _TWO_PI)
-    return CharCurve(n=float(n), p=ps, tau_min=tau, phi1=arg1, phi2=arg2)
+    return CharCurve(n=n, p=ps, tau_min=tau, phi1=arg1, phi2=arg2)
 
 
 _COLLINEAR_TOL = 1e-12

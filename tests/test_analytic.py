@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from tritangle import (
     thresholds,
 )
 from tritangle import cli
-from tritangle.analytic import _largest_root
+from tritangle.analytic import _bracket_root, brentq
+from tritangle.family import N_MAX
 
 N_LIST = (1.0, 2.0, 3.0, 10.0, 100.0, 1000.0)
 TH = {n: thresholds(n) for n in N_LIST}
@@ -110,12 +112,88 @@ def test_solvers_reject_bad_n():
             fn(0.5)
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 1e151, 1e155, 1e300])
+def test_solvers_reject_non_finite_and_huge_n(n):
+    for fn in (solve_p0, solve_p1, solve_p_star, p_c, thresholds, alpha_I):
+        with pytest.raises(BadParamsError, match="n must"):
+            fn(n) if fn is not alpha_I else fn(0.5, n)
+    with pytest.raises(BadParamsError, match="n must"):
+        mixed_three_tangle(0.5, n)
+    with pytest.raises(BadParamsError, match="n must"):
+        ckw_audit(n, 11)
+
+
+def test_n_ceiling_is_clean():
+    # the largest accepted n solves without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        th = thresholds(N_MAX)
+    assert 0.0 < th.p_c < th.p0 < th.p1 < th.p_star < 1.0
+    assert abs(th.p0 - TH[1.0].p0) <= 1e-12
+
+
+def test_n_just_below_one_is_one():
+    assert thresholds(1.0 - 1e-13) == TH[1.0]
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_p_rejected(p):
+    with pytest.raises(BadParamsError, match="p must"):
+        mixed_three_tangle(p, 2.0)
+    with pytest.raises(BadParamsError, match="p must"):
+        alpha_I(np.array([0.5, p]), 2.0)
+    with pytest.raises(BadParamsError):
+        alpha_I_dd(p, 2.0)
+    for args in ((p, 0.1), (0.1, p), (p, -p)):
+        with pytest.raises(BadParamsError, match="require"):
+            one_tangle_min(*args)
+        with pytest.raises(BadParamsError, match="require"):
+            concurrence_sum_sq(*args)
+
+
 def test_no_root_error():
     def f(p):
         return np.ones_like(np.asarray(p, dtype=float))
 
     with pytest.raises(NoRootError):
-        _largest_root(f, 0.0, 1.0, 64)
+        _bracket_root(f, 0.0, 1.0, 64, largest=True)
+
+
+def loop_bracket_root(f, lo, hi, intervals, largest):
+    """The interval-by-interval scan _bracket_root replaced, kept as its reference."""
+    xs = np.linspace(lo, hi, intervals + 1)
+    fs = np.asarray(f(xs), dtype=float)
+    order = range(intervals - 1, -1, -1) if largest else range(intervals)
+    for i in order:
+        a, b = xs[i], xs[i + 1]
+        fa, fb = fs[i], fs[i + 1]
+        if fa == 0.0:
+            return float(a)
+        if fb == 0.0:
+            return float(b)
+        if fa * fb < 0.0:
+            return float(brentq(f, a, b, 1e-13))
+    raise NoRootError("no sign change")
+
+
+@pytest.mark.parametrize("largest", [True, False])
+def test_bracket_root_equals_loop_scan(largest):
+    # several roots per range, some on grid points (exact zeros), some not
+    def sines(p):
+        return np.sin(20.0 * p)
+
+    def grid_zeros(p):
+        return (p - 0.25) * (p - 0.5) * (p - 0.8125)
+
+    def double_root(p):
+        return (p - 0.3) ** 2 * (p - 0.7)
+
+    cases = [(sines, 0.01, 1.0, 64), (grid_zeros, 0.0, 1.0, 64), (grid_zeros, 0.3, 1.0, 50)]
+    cases += [(double_root, 0.0, 1.0, 64), (sines, 0.0, 1.0, 2048)]
+    for f, lo, hi, intervals in cases:
+        got = _bracket_root(f, lo, hi, intervals, largest)
+        assert got == loop_bracket_root(f, lo, hi, intervals, largest)
+    assert _bracket_root(grid_zeros, 0.0, 1.0, 64, largest) == (0.8125 if largest else 0.25)
 
 
 def test_alpha_I_basic_values():

@@ -109,6 +109,42 @@ def test_tangle_bad_p(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tangle", "--p", "nan", "--n", "3"], "error: p must"),
+        (["tangle", "--p", "inf", "--n", "3"], "error: p must"),
+        (["tangle", "--p", "0.8", "--n", "nan"], "error: n must"),
+        (["tangle", "--p", "0.8", "--n", "inf"], "error: n must"),
+        (["tangle", "--p", "0.8", "--n", "1e155"], "error: n must"),
+        (["tangle", "--p", "0.8", "--n", "1e300"], "error: n must"),
+        (["table1", "--n-list", "2", "nan"], "error: n must"),
+        (["decompose", "--p", "nan", "--n", "2"], "error: p must"),
+        (["decompose", "--p", "0.8", "--n", "1e300"], "error: n must"),
+        (["ckw", "--n", "inf"], "error: n must"),
+        (["curves", "--n", "nan", "--p-points", "3"], "error: n must"),
+    ],
+)
+def test_non_finite_and_huge_inputs_exit_usage(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_vanishing_rejects_huge_n(tmp_path, capsys):
+    path = save(tmp_path, "rho.txt", rho(0.5, 0.25))
+    code, out, err = run(capsys, ["vanishing", "--in", path, "--n", "1e160"])
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: n must")
+
+
+def test_largest_n_accepted(capsys):
+    code, out, err = run(capsys, ["tangle", "--p", "0.8", "--n", "1e150"])
+    assert code == cli.EXIT_OK
+    assert parse_kv(out)["region"] == "ALPHA_II"
+
+
 def test_missing_argument(capsys):
     code, out, err = run(capsys, ["tangle", "--p", "0.5"])
     assert code == cli.EXIT_USAGE

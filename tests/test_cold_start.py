@@ -1,0 +1,56 @@
+"""A cold process imports no scipy module unless characteristic_curve runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from tritangle import characteristic_curve
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def scipy_imports(importtime_log):
+    """Names of scipy modules in a -X importtime log."""
+    names = (line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines())
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-X", "importtime", "-c", "import tritangle.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert "tritangle.cli" in proc.stderr
+    assert scipy_imports(proc.stderr) == []
+
+
+def test_tangle_command_loads_no_scipy():
+    proc = run_python("-X", "importtime", "-m", "tritangle.cli", "tangle", "--p", "0.8", "--n", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("region=ALPHA_I\nvalue=")
+    assert scipy_imports(proc.stderr) == []
+
+
+def test_characteristic_curve_imports_scipy_on_first_use():
+    code = (
+        "import sys\n"
+        "import tritangle\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "curve = tritangle.characteristic_curve(2, p_points=11)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "print(' '.join(float(t).hex() for t in curve.tau_min))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    cold = [float.fromhex(t) for t in proc.stdout.split()]
+    # this process has scipy loaded already: the values must not depend on when
+    assert np.array_equal(cold, characteristic_curve(2, p_points=11).tau_min)

@@ -4,6 +4,7 @@ import pytest
 from tritangle import (
     BadParamsError,
     SYMMETRIC_PHASES,
+    characteristic_curve,
     density_from_ensemble,
     ensemble_average_tangle,
     ghz,
@@ -17,10 +18,12 @@ from tritangle import (
     three_tangle_pure,
     thresholds,
     trace_distance,
+    vertex_states,
     w,
     w_tilde,
     z_state,
     z_tangle_closed,
+    zero_tangle_vertices,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -70,6 +73,31 @@ def test_z_state_bad_params():
         rho(0.7, 0.6)
     with pytest.raises(BadParamsError):
         rho(1.2, -0.2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_params_rejected(bad):
+    th = thresholds(2.0)
+    for fn, args in [
+        (rho, (bad, 0.1)),
+        (rho, (0.1, bad)),
+        (z_state, (bad, 0.1)),
+        (z_tangle_closed, (0.1, bad)),
+        (symmetric_ensemble, (bad, -bad)),
+        (optimal_decomposition, (bad, 2.0, th)),
+        (optimal_decomposition, (0.5, bad, th)),
+        (pi_state, (bad, 2.0)),
+        (zero_tangle_vertices, (bad, 0.7)),
+        (vertex_states, (bad, 0.7)),
+        (characteristic_curve, (bad,)),
+    ]:
+        with pytest.raises(BadParamsError):
+            fn(*args)
+    if bad != np.inf:
+        with pytest.raises(BadParamsError):
+            pi_state(0.5, bad)
+    else:
+        assert pi_state(0.5, bad).dim == 8  # n = inf stays valid
 
 
 def test_z_tangle_closed_corners():

@@ -1,0 +1,57 @@
+"""Property tests of the threshold table over continuous n.
+
+The examples are derandomized and bounded, so every run checks the same
+inputs and stays quick.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tritangle import mixed_three_tangle, thresholds
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+# n in [1, 1e6], uniform in n and in log10(n)
+N_VALUES = st.one_of(
+    st.floats(min_value=1.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0**e),
+)
+P_VALUES = st.floats(min_value=0.0, max_value=1.0)
+
+# thresholds move by at most this much when n moves by a relative 1e-9; the
+# sqrt(n - 1) terms make the largest move, about 2.2e-5 at n = 1
+_STEP = 1e-9
+_MOVE = 1e-4
+
+
+def as_tuple(th):
+    return (th.p0, th.p1, th.p_star, th.p_c)
+
+
+@PROPERTY_SETTINGS
+@given(N_VALUES)
+@example(1.0)
+@example(2.0)
+@example(2.00000001)
+@example(1e6)
+def test_threshold_order_and_continuity(n):
+    th = thresholds(n)
+    assert 0.0 < th.p_c < th.p0 <= th.p1 <= th.p_star < 1.0
+    moved = thresholds(n * (1.0 + _STEP))
+    assert max(abs(a - b) for a, b in zip(as_tuple(th), as_tuple(moved))) <= _MOVE
+
+
+@PROPERTY_SETTINGS
+@given(N_VALUES.filter(lambda n: n >= 1.0 + 1e-6), P_VALUES)
+@example(1e6, 0.8)
+@example(3.0, 0.9)
+@example(2.0, 0.8)
+def test_w_flipped_w_duality(n, p):
+    # swapping W and W~ maps q = (1-p)/n to its complement: n <-> n/(n-1)
+    dual = n / (n - 1.0)
+    th, th_dual = thresholds(n), thresholds(dual)
+    for a, b in zip(as_tuple(th), as_tuple(th_dual)):
+        assert abs(a - b) <= 1e-12
+    got = mixed_three_tangle(p, n, th)
+    want = mixed_three_tangle(p, dual, th_dual)
+    assert abs(got.value - want.value) <= 1e-12
