@@ -235,15 +235,19 @@ def solve_p1(n):
     return _bracket_root(f, 0.5 + 1e-9, 1.0 - 1e-9, _SCAN_INTERVALS, largest=False)
 
 
-def solve_p_star(n):
-    """Concavity onset: zero of the second derivative of alpha_I."""
-    n = check_n(n)
-    p0 = solve_p0(n)
+def _p_star_above(p0, n):
+    """Smallest zero of alpha_I_dd on [p0, 1 - 1e-6]."""
 
     def f(p):
         return alpha_I_dd(p, n)
 
     return _bracket_root(f, p0, 1.0 - 1e-6, _SCAN_INTERVALS, largest=False)
+
+
+def solve_p_star(n):
+    """Concavity onset: zero of the second derivative of alpha_I above p0."""
+    n = check_n(n)
+    return _p_star_above(solve_p0(n), n)
 
 
 def p_c(n):
@@ -260,7 +264,8 @@ def p_c(n):
 def thresholds(n):
     """Solve all four boundary points for one n."""
     n = check_n(n)
-    return Thresholds(n=n, p0=solve_p0(n), p1=solve_p1(n), p_star=solve_p_star(n), p_c=p_c(n))
+    p0 = solve_p0(n)
+    return Thresholds(n=n, p0=p0, p1=solve_p1(n), p_star=_p_star_above(p0, n), p_c=p_c(n))
 
 
 def mixed_three_tangle(p, n, th=None):

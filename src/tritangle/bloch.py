@@ -1,6 +1,7 @@
 """Qutrit Bloch geometry on span{GHZ, W, W~}: Gell-Mann coordinates, the five
 zero-tangle vertices, and the polyhedron membership test."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ _BASIS = np.column_stack([ghz().amps, w().amps, w_tilde().amps])
 LEAKAGE_TOL = 1e-10
 
 _MEMBERSHIP_TOL = 1e-8
-_MAX_NNLS_ITERS = 10_000
 
 
 def qutrit_project(rho):
@@ -118,80 +118,55 @@ def vertex_states(n, p0):
     ]
 
 
-def _project_simplex(v):
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    rho_idx = np.nonzero(u * np.arange(1, len(v) + 1) > cssv)[0][-1]
-    theta = cssv[rho_idx] / (rho_idx + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
 def _simplex_least_squares(a, b):
-    """min |a w - b| over the probability simplex; FISTA plus a KKT polish."""
+    """min |a w - b| over the probability simplex, exactly.
+
+    For every support S, solve [A_S^T A_S, 1; 1^T, 0] [w; mu] = [A_S^T b; 1],
+    batched per support size, and clip and renormalise w onto the simplex. The
+    minimiser's support is among the candidates, so the best candidate is the
+    minimiser. Exactly singular systems are skipped: by Caratheodory an affinely
+    independent support reaches the same minimum.
+    """
     m = a.shape[1]
-    lip = np.linalg.norm(a, 2) ** 2
-    if lip == 0.0:
-        return np.full(m, 1.0 / m)
-    step = 1.0 / lip
-    x = np.full(m, 1.0 / m)
-    y = x.copy()
-    t = 1.0
-    at_b = a.T @ b
+    # a power-of-two scale is exact and keeps A^T A finite for any finite input
+    e = np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     ata = a.T @ a
-    for _ in range(_MAX_NNLS_ITERS):
-        grad = ata @ y - at_b
-        x_new = _project_simplex(y - step * grad)
-        if np.max(np.abs(x_new - x)) < 1e-13:
-            # momentum can stall on a face of the simplex; stop only at a true
-            # fixed point of the plain projected-gradient map, else restart
-            g = ata @ x_new - at_b
-            if np.max(np.abs(_project_simplex(x_new - step * g) - x_new)) < 1e-13:
-                x = x_new
-                break
-            x = x_new
-            y = x_new.copy()
-            t = 1.0
-            continue
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-    # polish: equality-constrained least squares on the active support
-    support = x > 1e-9
-    if support.any():
-        asub = a[:, support]
-        k = int(support.sum())
-        # solve [A^T A, 1; 1^T, 0] [w; mu] = [A^T b; 1]
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = asub.T @ asub
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[:k] = asub.T @ b
-        rhs[k] = 1.0
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        w_pol = sol[:k]
-        if w_pol.min() >= -1e-12:
-            cand = np.zeros(m)
-            cand[support] = np.maximum(w_pol, 0.0)
-            s = cand.sum()
-            if s > 0:
-                cand /= s
-            if np.linalg.norm(a @ cand - b) <= np.linalg.norm(a @ x - b) + 1e-15:
-                x = cand
-    return x
+    atb = a.T @ b
+    cands = []
+    for k in range(1, m + 1):
+        sup = np.array(list(itertools.combinations(range(m), k)))
+        kkt = np.ones((len(sup), k + 1, k + 1))
+        kkt[:, :k, :k] = ata[sup[:, :, None], sup[:, None, :]]
+        kkt[:, k, k] = 0.0
+        rhs = np.ones((len(sup), k + 1, 1))
+        rhs[:, :k, 0] = atb[sup]
+        regular = np.linalg.slogdet(kkt)[0] != 0.0
+        sup = sup[regular]
+        wts = np.maximum(np.linalg.solve(kkt[regular], rhs[regular])[:, :k, 0], 0.0)
+        cand = np.zeros((len(sup), m))
+        np.put_along_axis(cand, sup, wts / wts.sum(axis=1, keepdims=True), axis=1)
+        cands.append(cand)
+    cands = np.concatenate(cands)
+    residuals = np.linalg.norm(cands @ a.T - b, axis=1)
+    # argmin would pick the first NaN; a non-finite residual must never win
+    return cands[np.argmin(np.where(np.isfinite(residuals), residuals, np.inf))]
 
 
 def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
     """Best convex combination of the vertices approximating v.
 
     Returns (inside, weights): inside is True when the residual |sum w_i v_i - v|
-    is <= tol.
+    is <= tol. The weights are the exact minimiser, found by trying every
+    support of the vertices: the cost grows as 2^m in the number m of vertices
+    (five in the library), and repeated or affinely dependent vertices are fine.
     """
     v = np.asarray(v, dtype=float)
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 1:
         raise EmptyInputError("need at least one vertex")
+    if not (np.isfinite(v).all() and np.isfinite(vertices).all()):
+        raise BadParamsError("v and the vertices must be finite")
     a = vertices.T
     weights = _simplex_least_squares(a, v)
     residual = float(np.linalg.norm(a @ weights - v))

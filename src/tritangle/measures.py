@@ -20,12 +20,9 @@ def tangle_from_amps(amps):
     Index convention: amps[..., 4i+2j+k] is the coefficient of |ijk>.
     """
     a = np.asarray(amps, dtype=complex)
-    # a.T puts the amplitude index first and the copy makes each amplitude's
-    # column contiguous, which the products below run faster on; the final .T
-    # restores the row shape. For a single state cols[i, ...] is a 0-d array,
-    # not a numpy scalar, whose arithmetic rounds differently.
-    cols = a.T.copy()
-    a0, a1, a2, a3, a4, a5, a6, a7 = (cols[i, ...] for i in range(8))
+    # every input, a single state too, is a stack of rows; the transposed copy
+    # makes each amplitude's column contiguous, which the products run faster on
+    a0, a1, a2, a3, a4, a5, a6, a7 = a.reshape(-1, 8).T.copy()
     a07 = a0 * a7
     a34 = a3 * a4
     d1 = a0**2 * a7**2 + a1**2 * a6**2 + a2**2 * a5**2 + a4**2 * a3**2
@@ -38,7 +35,7 @@ def tangle_from_amps(amps):
         + a5 * a2 * a6 * a1
     )
     d3 = a0 * a6 * a5 * a3 + a7 * a1 * a2 * a4
-    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).T
+    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(a.shape[:-1])
 
 
 def three_tangle_pure(psi):

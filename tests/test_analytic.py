@@ -28,7 +28,7 @@ from tritangle import (
     symmetric_ensemble,
     thresholds,
 )
-from tritangle import cli
+from tritangle import analytic, cli
 from tritangle.analytic import _bracket_root, brentq
 from tritangle.family import N_MAX
 
@@ -97,6 +97,25 @@ def test_thresholds_record_format():
     assert set(got) == {"n", "p0", "p1", "p_star", "p_c"}
     assert float(got["n"]) == 2.0
     assert float(got["p0"]) == TH[2.0].p0  # 17 significant digits round-trip
+
+
+
+def test_thresholds_solve_p0_once(monkeypatch):
+    # thresholds hands its p0 to the p* bracket; the table equals the
+    # one-threshold solvers bit for bit
+    calls = []
+    original = analytic.solve_p0
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(analytic, "solve_p0", counting)
+    for n in (1.0, 2.0, 3.0, 2.5, 1e6, 1e150):
+        calls.clear()
+        th = thresholds(n)
+        assert calls == [n]
+        assert (th.p0, th.p1, th.p_star) == (solve_p0(n), solve_p1(n), solve_p_star(n))
 
 
 def test_thresholds_rejects_bad_ordering():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tritangle import (
     BadDimensionError,
@@ -203,3 +205,134 @@ def test_projection_consistency_with_ensemble():
     ens = symmetric_ensemble(0.6, 0.2)
     sigma = qutrit_project(density_from_ensemble(ens))
     assert np.max(np.abs(sigma.mat - qutrit_project(rho(0.6, 0.2)).mat)) <= 1e-12
+
+
+def _membership_inputs():
+    """(v, vertices) pairs: family points, random qutrit states of rank 1-3,
+    convex combinations of the vertices and the vertices themselves."""
+    rng = np.random.default_rng(57)
+    for n in (1.0, 1.0 + 1e-12, 2.0, 3.0, 10.0, 1e6, 1e150, 4.7):
+        verts = zero_tangle_vertices(n, solve_p0(n))
+        for p in np.linspace(0.0, 1.0, 21):
+            yield bloch_vector(qutrit_project(rho(p, (1.0 - p) / n))), verts
+        for rank in (1, 2, 3):
+            for _ in range(8):
+                m = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
+                mat = m @ m.conj().T
+                yield bloch_vector(DensityMatrix(mat / mat.trace().real)), verts
+        for _ in range(10):
+            yield verts.T @ rng.dirichlet(np.ones(5)), verts
+        yield from ((row, verts) for row in verts)
+
+
+def assert_kkt_optimal(v, vertices, weights, tol=1e-12):
+    """First-order optimality of min |A w - v| over the simplex, A = vertices.T:
+    the gradient g = A^T (A w - v) equals a common mu on the support and is at
+    least mu off it."""
+    a = np.asarray(vertices, dtype=float).T
+    g = a.T @ (a @ weights - v)
+    on = weights > 0.0
+    assert weights.min() >= 0.0
+    assert abs(weights.sum() - 1.0) <= 1e-15 * len(weights)
+    mu = g[on].mean()
+    assert np.max(np.abs(g[on] - mu)) <= tol
+    assert np.all(g[~on] >= mu - tol)
+
+
+def test_membership_kkt_certificate():
+    count = 0
+    for v, verts in _membership_inputs():
+        _, weights = in_zero_polyhedron(v, verts)
+        assert_kkt_optimal(v, verts, weights)
+        count += 1
+    assert count == 8 * (21 + 24 + 10 + 5)
+
+
+def test_membership_repeated_vertex():
+    verts = zero_tangle_vertices(2.0, solve_p0(2.0))
+    doubled = np.vstack([verts, verts[1], verts[3]])
+    rng = np.random.default_rng(58)
+    for v in [*rng.standard_normal((20, 8)), verts[3], 0.2 * verts[0] + 0.8 * verts[1]]:
+        _, w_plain = in_zero_polyhedron(v, verts)
+        _, weights = in_zero_polyhedron(v, doubled)
+        assert_kkt_optimal(v, doubled, weights)
+        # the same hull, so the same minimum
+        got = np.linalg.norm(doubled.T @ weights - v)
+        assert abs(got - np.linalg.norm(verts.T @ w_plain - v)) <= 1e-15
+        folded = weights[:5] + np.bincount([1, 3], weights[5:], minlength=5)
+        assert np.max(np.abs(verts.T @ folded - verts.T @ w_plain)) <= 1e-12
+
+
+def test_membership_all_zero_vertices():
+    rng = np.random.default_rng(59)
+    for v in [np.zeros(8), *rng.standard_normal((10, 8))]:
+        inside, weights = in_zero_polyhedron(v, np.zeros((4, 8)))
+        assert inside == (np.linalg.norm(v) <= 1e-8)
+        assert weights.min() >= 0.0 and weights.sum() == 1.0
+        assert np.linalg.norm(np.zeros((8, 4)) @ weights - v) == np.linalg.norm(v)
+
+
+def test_membership_one_vertex():
+    rng = np.random.default_rng(60)
+    vert = rng.standard_normal(8)
+    for v in [vert, *rng.standard_normal((10, 8))]:
+        inside, weights = in_zero_polyhedron(v, vert[None])
+        assert weights.tolist() == [1.0]
+        assert inside == np.array_equal(v, vert)
+
+
+def test_membership_two_vertices_is_segment_projection():
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        v0, v1, v = rng.standard_normal((3, 8))
+        # half the targets sit on the segment itself
+        if rng.random() < 0.5:
+            v = v0 + rng.random() * (v1 - v0)
+        d = v1 - v0
+        t = min(max(float((v - v0) @ d / (d @ d)), 0.0), 1.0)
+        want = np.linalg.norm(v0 + t * d - v)
+        inside, weights = in_zero_polyhedron(v, np.vstack([v0, v1]))
+        got = np.linalg.norm(weights[0] * v0 + weights[1] * v1 - v)
+        assert abs(got - want) <= 1e-14
+        assert abs(weights[1] - t) <= 1e-12
+        assert inside == (want <= 1e-8)
+
+
+def test_membership_rejects_non_finite():
+    verts = zero_tangle_vertices(2.0, solve_p0(2.0))
+    with pytest.raises(BadParamsError):
+        in_zero_polyhedron(np.full(8, np.nan), verts)
+    bad = verts.copy()
+    bad[2, 4] = np.inf
+    with pytest.raises(BadParamsError):
+        in_zero_polyhedron(np.zeros(8), bad)
+
+
+def test_membership_weights_do_not_depend_on_scale():
+    # min |s (A w - v)| has the same minimiser for every s > 0; A^T A of the
+    # scaled vertices would overflow or underflow without the solver's rescaling
+    verts = zero_tangle_vertices(3.0, solve_p0(3.0))
+    rng = np.random.default_rng(62)
+    inner, outer = verts.T @ rng.dirichlet(np.ones(5)), rng.standard_normal(8)
+    # the residual norm of an outside point overflows by itself at large scales
+    for v, scales in ((inner, (2.0**520, 1e160, 2.0**-600, 1e-160)), (outer, (2.0**-600, 1e-160))):
+        _, want = in_zero_polyhedron(v, verts)
+        for s in scales:
+            _, got = in_zero_polyhedron(s * v, s * verts)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    st.floats(min_value=1.0, max_value=1e3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1.0, 0)
+@example(2.0, 1)
+@example(1e3, 2)
+def test_membership_recovers_convex_weights(n, seed):
+    verts = zero_tangle_vertices(n, solve_p0(n))
+    w_true = np.random.default_rng(seed).dirichlet(np.ones(5))
+    inside, weights = in_zero_polyhedron(verts.T @ w_true, verts)
+    assert inside
+    assert np.max(np.abs(weights - w_true)) <= 1e-12

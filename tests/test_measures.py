@@ -124,12 +124,22 @@ def test_tangle_from_amps_equals_strided_reference():
     rng = np.random.default_rng(27)
     amps = rng.standard_normal((600, 8)) + 1j * rng.standard_normal((600, 8))
     for row in amps[:200]:
-        assert tangle_from_amps(row) == _tangle_on_strided_views(row)
+        assert tangle_from_amps(row) == _tangle_on_strided_views(row[None])[0]
     for shape in ((600, 8), (120, 5, 8), (4, 30, 5, 8)):
         stack = amps.reshape(shape)
         got = tangle_from_amps(stack)
         assert got.shape == shape[:-1]
         assert np.array_equal(got, _tangle_on_strided_views(stack))
+
+
+def test_tangle_from_amps_single_state_equals_stack_row():
+    # a single state goes through the same array loops as a row of a stack
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal((3000, 8)) + 1j * rng.standard_normal((3000, 8))
+    stack = tangle_from_amps(amps)
+    single = np.array([tangle_from_amps(row) for row in amps])
+    assert np.array_equal(single, stack)
+    assert tangle_from_amps(amps[0]).shape == ()
 
 
 def test_concurrence_known_values():
