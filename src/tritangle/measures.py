@@ -22,7 +22,11 @@ def tangle_from_amps(amps):
     a = np.asarray(amps, dtype=complex)
     # every input, a single state too, is a stack of rows; the transposed copy
     # makes each amplitude's column contiguous, which the products run faster on
-    a0, a1, a2, a3, a4, a5, a6, a7 = a.reshape(-1, 8).T.copy()
+    return (4.0 * np.abs(_hyperdet(*a.reshape(-1, 8).T.copy()))).reshape(a.shape[:-1])
+
+
+def _hyperdet(a0, a1, a2, a3, a4, a5, a6, a7):
+    """Cayley hyperdeterminant d1 - 2 d2 + 4 d3 of amplitude columns."""
     a07 = a0 * a7
     a34 = a3 * a4
     d1 = a0**2 * a7**2 + a1**2 * a6**2 + a2**2 * a5**2 + a4**2 * a3**2
@@ -35,7 +39,26 @@ def tangle_from_amps(amps):
         + a5 * a2 * a6 * a1
     )
     d3 = a0 * a6 * a5 * a3 + a7 * a1 * a2 * a4
-    return (4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)).reshape(a.shape[:-1])
+    return d1 - 2.0 * d2 + 4.0 * d3
+
+
+# for each a_k, the other three amplitudes of its term in 4 (a0 a3 a5 a6 + a1 a2 a4 a7)
+_TRIPLES = [[3, 5, 6], [2, 4, 7], [1, 4, 7], [0, 5, 6], [1, 2, 7], [0, 3, 6], [0, 3, 5], [1, 2, 4]]
+
+
+def hyperdet_with_gradient(amps):
+    """Hyperdeterminant D of (..., 8) amplitude rows, and its holomorphic
+    partials dD/da_k shaped (..., 8); 4|D| equals tangle_from_amps bit for bit.
+
+    With Pk = a_k a_(7-k) and S = P0 + P1 + P2 + P3, D = 2 sum P^2 - S^2 +
+    4 (a0 a3 a5 a6 + a1 a2 a4 a7); so dD/da0 = a7 (4 P0 - 2 S) + 4 a3 a5 a6.
+    """
+    a = np.asarray(amps, dtype=complex)
+    rows = a.reshape(-1, 8)
+    pairs = rows * rows[:, ::-1]  # a_k a_(7-k)
+    total = pairs[:, :4].sum(axis=-1, keepdims=True)
+    grad = rows[:, ::-1] * (4.0 * pairs - 2.0 * total) + 4.0 * rows[:, _TRIPLES].prod(axis=-1)
+    return _hyperdet(*rows.T.copy()).reshape(a.shape[:-1]), grad.reshape(a.shape)
 
 
 def three_tangle_pure(psi):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
 from .family import check_n, z_tangle_closed
-from .measures import ensemble_average_tangle, tangle_from_amps
+from .measures import ensemble_average_tangle, hyperdet_with_gradient, tangle_from_amps
 from .states import DensityMatrix, Ensemble, eigh_desc, pure_from_amplitudes
 
 RANK_TOL = 1e-12
@@ -18,9 +18,12 @@ ISOMETRY_TOL = 1e-10
 _TWO_PI = 2.0 * math.pi
 _PHASE_XATOL = 1e-8
 _PHASE_MAXFEV = 400
-_SEARCH_XATOL = 1e-7
-_SEARCH_MAXFEV = 5000
 _WEIGHT_FLOOR = 1e-14
+_SEARCH_MAXITER = 500
+_ARMIJO = 1e-4
+_EPS = np.finfo(float).eps
+_AGREE_TOL = 1e-9
+_HALVINGS = 0.5 ** np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,10 @@ def hjw_ensemble(rho, mixing):
 class DecompositionSearchResult:
     """Best ensemble found, plus each restart's final value and evaluation count.
 
-    converged is the best restart's stop-test flag (False when it ran out of
-    evaluations); restart_values and restart_nfev are in restart order.
+    converged says whether the best restart stopped on its stop test before the
+    iteration cap; restart_values and restart_nfev (the isometries each restart
+    evaluated) are in restart order; restarts_agreeing counts the restarts whose
+    final value lies within 1e-9 of the best.
     """
 
     upper_bound: float
@@ -175,172 +180,141 @@ class DecompositionSearchResult:
     converged: bool
     restart_values: tuple
     restart_nfev: tuple
+    restarts_agreeing: int
 
 
-def _batched_objective(basis, m, r):
-    """Objective over the 2mr real parameters of the pre-QR mixing matrix.
+def _adjoint(x):
+    return x.conj().swapaxes(-1, -2)
 
-    Maps a (k, 2mr) stack of parameter vectors to k average tangles. basis is
-    r x 8 with rows sqrt(l_i) <v_i|; member j is row j of u @ basis.
+
+def _inner(a, b):
+    """Re tr(a^H b) of each pair in two (k, m, r) stacks."""
+    return (a.conj() * b).real.sum(axis=(-2, -1))
+
+
+def _tangent(u, x):
+    """x projected onto the tangent space of the isometries at u: x - u herm(u^H x)."""
+    uhx = _adjoint(u) @ x
+    return x - u @ (0.5 * (uhx + _adjoint(uhx)))
+
+
+def _retract(mat):
+    """Q factor of each matrix of a stack, column signs fixed so that diag(R) > 0."""
+    q, r = np.linalg.qr(mat)
+    flip = np.diagonal(r, axis1=-2, axis2=-1).real < 0.0
+    return np.where(flip[..., None, :], -q, q)
+
+
+def _members(u, basis):
+    """Unnormalized members t = u @ basis, their weights, and which weights count."""
+    t = u @ basis
+    ws = np.sum(np.abs(t) ** 2, axis=-1)
+    kept = ws > _WEIGHT_FLOOR
+    return t, np.where(kept, ws, 1.0), kept
+
+
+def _average_tangle(u, basis):
+    """F(u) = sum_j 4|D(t_j)| / w_j for a stack of isometries; a member at or
+    below the weight floor adds 0."""
+    t, ws, kept = _members(u, basis)
+    return np.sum(np.where(kept, tangle_from_amps(t) / ws, 0.0), axis=-1)
+
+
+def _riemannian_gradient(u, basis):
+    """Gradient of F on the isometries, in the metric Re tr(a^H b).
+
+    With Wirtinger derivatives, dF_j/d conj(t) = 4 [D conj(dD/dt) / (2|D| w) -
+    |D| t / w^2] (a phase of 0 where D = 0); the Euclidean gradient is
+    2 (dF/d conj(t)) @ basis^H, projected onto the tangent space at u.
     """
-    mr = m * r
-
-    def objective(x):
-        k = x.shape[0]
-        mat = x[:, :mr].reshape(k, m, r) + 1j * x[:, mr:].reshape(k, m, r)
-        u, _ = np.linalg.qr(mat)
-        tilde = u @ basis
-        ws = np.sum(np.abs(tilde) ** 2, axis=-1)
-        raw = tangle_from_amps(tilde)
-        mask = ws > _WEIGHT_FLOOR
-        if mask.all():
-            return np.sum(raw / ws, axis=-1)
-        # a row with a member at or below the weight floor sums its other members
-        # alone: a 0 in that member's place could change numpy's summation order
-        out = np.empty(k)
-        for i in range(k):
-            keep = mask[i]
-            out[i] = np.sum(raw[i][keep] / ws[i][keep])
-        return out
-
-    return objective
+    t, ws, kept = _members(u, basis)
+    det, ddet = hyperdet_with_gradient(t)
+    size = np.abs(det)
+    phase = np.where(size > 0.0, det / np.where(size > 0.0, size, 1.0), 0.0)
+    coef = np.where(kept, 2.0 / ws, 0.0)
+    dt = (coef * phase)[..., None] * ddet.conj() - (coef * 2.0 * size / ws)[..., None] * t
+    return _tangent(u, 2.0 * dt @ basis.conj().T)
 
 
-def _nelder_mead_lockstep(fun, x0s, xatol, fatol, maxfev):
-    """Adaptive Nelder-Mead from every row of x0s, all restarts stepped together.
+def _conjugate_gradient_lockstep(u, basis):
+    """Riemannian conjugate gradient from every isometry of the stack u, all
+    restarts stepped together.
 
-    Each restart follows the arithmetic of
-    scipy.optimize.minimize(method="Nelder-Mead", adaptive=True) with maxfev set,
-    step for step, so it ends at the same point, value, evaluation count and
-    success flag as a scipy run from its own x0 (scipy 1.17). fun maps a (k, N)
-    stack of points to k values; each step evaluates the trial points of every
-    live restart in one call, and the points of any shrinks in one more. Only
-    the evaluations scipy would make count towards nfev. Returns lists
-    (x, fun, nfev, success) in row order.
+    Polak-Ribiere+ directions are transported by projection onto the new
+    tangent space; a direction that is not a descent direction is replaced by
+    steepest descent. Each step is an Armijo backtracking search that starts
+    at twice the restart's last accepted step and halves it; the trial points
+    of every restart still searching go in one objective call, and gradients
+    are computed only at accepted points. A restart stops when no step shows a
+    decrease above the rounding of its value, or when an accepted step lowers
+    it by no more than that rounding, and in any case after the iteration cap.
+    Every restart's arithmetic is its own, so it ends as it would alone.
+    Returns (u, values, nfev, converged) in restart order.
     """
-    n_restarts, dim = x0s.shape
-    # dimension-adaptive coefficients; plain Nelder-Mead stalls in ~30 dims
-    chi, psi, sigma = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    # (1 + c) xbar - c x_worst is, for these c, exactly scipy's reflection,
-    # expansion, outside contraction and inside contraction (rho = 1)
-    coefs = np.array([1.0, chi, psi, -psi])[:, None]
-    lead = 1 + coefs
-    last = dim  # index of the worst vertex
+    n_restarts = u.shape[0]
+    f = _average_tangle(u, basis)
+    g = _riemannian_gradient(u, basis)
+    d = -g
+    gg = _inner(g, g)
+    step = np.full(n_restarts, 0.5)  # so that the first trial step is 1
+    nfev = np.ones(n_restarts, dtype=int)
+    converged = np.zeros(n_restarts, dtype=bool)
+    live = np.arange(n_restarts)
+    for _ in range(_SEARCH_MAXITER):
+        slope = _inner(g[live], d[live])
+        floor = _EPS * f[live]  # a decrease at or below this is rounding
+        alpha = 2.0 * step[live]
+        accepted = np.zeros(live.size, dtype=bool)
+        stalled = np.zeros(live.size, dtype=bool)
+        trying = np.flatnonzero(-alpha * slope > floor)
+        levels = 1  # the first round tries each restart's own step alone
+        while trying.size:
+            ids = live[trying]
+            # the next `levels` halvings of each pending step, tried at once; the
+            # first one that passes is the one a halving loop would have taken
+            a = alpha[trying, None] * _HALVINGS[:levels]
+            slopes = a * slope[trying, None]
+            trial = _retract(u[ids, None] + a[..., None, None] * d[ids, None])
+            f_trial = _average_tangle(trial, basis)
+            nfev[ids] += levels
+            ok = (f_trial <= f[ids, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)[hit]
+            won, ids = trying[hit], ids[hit]
+            accepted[won] = True
+            stalled[won] = f[ids] - f_trial[hit, first] <= floor[won]
+            u[ids], f[ids], step[ids] = trial[hit, first], f_trial[hit, first], a[hit, first]
+            trying = trying[~hit]
+            alpha[trying] *= 0.5**levels
+            trying = trying[-alpha[trying] * slope[trying] > floor[trying]]
+            levels = _HALVINGS.size
 
-    # sim[v, row] is vertex v of the simplex of the restart in that row:
-    # vertex-major, so the centroid sums whole (rows, N) planes
-    diag = np.arange(dim)
-    sim = np.repeat(x0s[None], dim + 1, axis=0)
-    sim[diag + 1, :, diag] = np.where(x0s != 0, (1 + 0.05) * x0s, 0.00025).T
-    fsim = np.full((n_restarts, dim + 1), np.inf)
-    first = min(dim + 1, maxfev)
-    for v in range(first):
-        fsim[:, v] = fun(sim[v])
-    nfev = [first] * n_restarts
-    rows = np.arange(n_restarts)
-    # scipy sorts the initial simplex twice; an unstable sort may reorder ties
-    for _ in range(2):
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = sim[order.T, rows], fsim[rows[:, None], order]
+        moved = live[accepted]
+        g_new = _riemannian_gradient(u[moved], basis)
+        gg_new = _inner(g_new, g_new)
+        # g_new is tangent at the new point, so transporting the old gradient
+        # first would not change its inner product with g_new
+        beta = np.maximum(0.0, (gg_new - _inner(g_new, g[moved])) / gg[moved])
+        d_new = beta[:, None, None] * _tangent(u[moved], d[moved]) - g_new
+        uphill = _inner(g_new, d_new) >= 0.0
+        d_new[uphill] = -g_new[uphill]
+        g[moved], d[moved], gg[moved] = g_new, d_new, gg_new
 
-    result_x = [None] * n_restarts
-    result_f = [None] * n_restarts
-    success = [False] * n_restarts
-    ids = list(range(n_restarts))  # restart of each row still searching
-
-    while True:
-        stop = [nfev[k] >= maxfev for k in ids]
-        # scipy's stop test; a row of fsim is sorted, so its largest
-        # |fsim[0] - fsim[j]| is fsim[-1] - fsim[0]
-        flat = (fsim[:, -1] - fsim[:, 0] <= fatol).tolist()
-        if any(flat):
-            test = [row for row, f in enumerate(flat) if f and not stop[row]]
-            near = np.abs(sim[1:, test] - sim[0, test]).max(axis=(0, 2)) <= xatol
-            for row, hit in zip(test, near.tolist()):
-                if hit:
-                    stop[row] = success[ids[row]] = True
-        if any(stop):
-            for row, k in enumerate(ids):
-                if stop[row]:
-                    result_x[k] = sim[0, row].copy()
-                    result_f[k] = float(np.min(fsim[row]))
-            keep = [row for row, done in enumerate(stop) if not done]
-            ids = [ids[row] for row in keep]
-            if not ids:
-                break
-            sim, fsim = sim[:, keep], fsim[keep]
-            rows = np.arange(len(ids))
-        live = len(ids)
-
-        xbar = np.add.reduce(sim[:-1], 0) / dim
-        trial = lead * xbar[:, None] - coefs * sim[last][:, None]  # (live, 4, N)
-        # the reflection and all three possible second points in one call: a
-        # call's fixed cost outweighs its cost per point, so evaluating the
-        # second points a step turns out not to need is cheaper than a second call
-        ftrial = fun(trial.reshape(-1, dim)).reshape(live, 4).tolist()
-
-        # branch on Python floats, as scipy does on scalars
-        ends = fsim[:, [0, -2, -1]].tolist()
-        takes = []  # (row, col): the worst vertex becomes trial[row, col]
-        seconds = []  # (row, col): the second point that row's step needs
-        for row, (f0, f_next, f_worst) in enumerate(ends):
-            k = ids[row]
-            nfev[k] += 1
-            fr = ftrial[row][0]
-            if fr < f0:
-                col = 1
-            elif fr < f_next:
-                takes.append((row, 0))
-                continue
-            elif fr < f_worst:
-                col = 2
-            else:
-                col = 3
-            # with the budget spent scipy stops before the second point and
-            # leaves the simplex as it was
-            if nfev[k] < maxfev:
-                seconds.append((row, col))
-
-        shrink = []
-        for row, col in seconds:
-            nfev[ids[row]] += 1
-            fr, f2 = ftrial[row][0], ftrial[row][col]
-            if col == 1:
-                takes.append((row, 1 if f2 < fr else 0))
-            elif f2 <= fr if col == 2 else f2 < ends[row][2]:
-                takes.append((row, col))
-            else:
-                shrink.append(row)
-        for row, col in takes:
-            sim[last, row] = trial[row, col]
-            fsim[row, last] = ftrial[row][col]
-
-        if shrink:
-            base = sim[0, shrink]
-            moved = base + sigma * (sim[1:, shrink] - base)
-            fmoved = fun(moved.reshape(-1, dim)).reshape(dim, len(shrink))
-            for j, row in enumerate(shrink):
-                k = ids[row]
-                count = min(dim, maxfev - nfev[k])
-                nfev[k] += count
-                # scipy moves the first vertex it has no budget to evaluate, and
-                # that vertex keeps its old value
-                moved_to = min(dim, count + 1)
-                sim[1 : moved_to + 1, row] = moved[:moved_to, j]
-                fsim[row, 1 : count + 1] = fmoved[:count, j]
-
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = sim[order.T, rows], fsim[rows[:, None], order]
-
-    return result_x, result_f, nfev, success
+        done = ~accepted | stalled
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+    return u, f, nfev, converged
 
 
 def min_avg_tangle(rho, m, restarts=20, seed=0):
     """Upper-bound the convex-roof tangle by searching the mixing isometry.
 
     Deterministic for fixed (rho, m, restarts, seed); the best restart wins.
-    All restarts run together, each exactly as a separate adaptive Nelder-Mead
-    run would.
+    All restarts run together, each exactly as it would alone: a Riemannian
+    conjugate gradient on the m x r isometries with the analytic gradient of
+    the average tangle.
     """
     if not isinstance(rho, DensityMatrix) or rho.dim != 8:
         raise BadParamsError("min_avg_tangle expects an 8x8 DensityMatrix")
@@ -355,19 +329,17 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     basis = (vecs[:, :r] * np.sqrt(np.maximum(vals[:r], 0.0))).T  # r x 8
     seeds = [np.random.SeedSequence(entropy=(seed, k)) for k in range(restarts)]
     x0s = np.array([np.random.default_rng(s).standard_normal(2 * m * r) for s in seeds])
-    xs, funs, nfev, success = _nelder_mead_lockstep(
-        _batched_objective(basis, m, r), x0s, _SEARCH_XATOL, 1e-12, _SEARCH_MAXFEV
-    )
-    best = min(range(restarts), key=funs.__getitem__)  # first of the minimal values
-    x = xs[best]
-    mat = x[: m * r].reshape(m, r) + 1j * x[m * r :].reshape(m, r)
-    u, _ = np.linalg.qr(mat)
-    ens = hjw_ensemble(rho, u)
+    mr = m * r
+    mats = x0s[:, :mr].reshape(-1, m, r) + 1j * x0s[:, mr:].reshape(-1, m, r)
+    u, funs, nfev, converged = _conjugate_gradient_lockstep(_retract(mats), basis)
+    best = int(np.argmin(funs))  # the first of the minimal values
+    ens = hjw_ensemble(rho, u[best])
     return DecompositionSearchResult(
         upper_bound=ensemble_average_tangle(ens),
         best_ensemble=ens,
         restarts_used=restarts,
-        converged=success[best],
-        restart_values=tuple(funs),
-        restart_nfev=tuple(nfev),
+        converged=bool(converged[best]),
+        restart_values=tuple(funs.tolist()),
+        restart_nfev=tuple(nfev.tolist()),
+        restarts_agreeing=int(np.sum(funs <= funs[best] + _AGREE_TOL)),
     )

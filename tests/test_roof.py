@@ -208,6 +208,9 @@ def test_min_avg_tangle_deterministic():
     b = min_avg_tangle(target, m=3, restarts=2, seed=7)
     assert a.upper_bound == b.upper_bound
     assert np.array_equal(np.asarray(a.best_ensemble.weights), np.asarray(b.best_ensemble.weights))
+    assert a.restart_values == b.restart_values and a.restart_nfev == b.restart_nfev
+    for (_, sa), (_, sb) in zip(a.best_ensemble, b.best_ensemble):
+        assert np.array_equal(sa.amps, sb.amps)
 
 
 def test_min_avg_tangle_zero_region():
