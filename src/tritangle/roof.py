@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
 from .family import check_n, z_tangle_closed
-from .measures import ensemble_average_tangle, hyperdet_with_gradient, tangle_from_amps
+from .measures import hyperdet_with_gradient, tangle_from_amps
 from .states import DensityMatrix, Ensemble, eigh_desc, pure_from_amplitudes
 
 RANK_TOL = 1e-12
@@ -22,8 +22,10 @@ _WEIGHT_FLOOR = 1e-14
 _SEARCH_MAXITER = 500
 _ARMIJO = 1e-4
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # 1/x is finite for x at or above this
 _AGREE_TOL = 1e-9
 _HALVINGS = 0.5 ** np.arange(4)
+_MEMORY = 8  # curvature pairs each restart keeps
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,8 @@ def hjw_ensemble(rho, mixing):
 class DecompositionSearchResult:
     """Best ensemble found, plus each restart's final value and evaluation count.
 
+    upper_bound is restart_values[best], the search's own value at the first
+    restart with the least value, and best_ensemble is that restart's ensemble.
     converged says whether the best restart stopped on its stop test before the
     iteration cap; restart_values and restart_nfev (the isometries each restart
     evaluated) are in restart order; restarts_agreeing counts the restarts whose
@@ -230,91 +234,139 @@ def _riemannian_gradient(u, basis):
     t, ws, kept = _members(u, basis)
     det, ddet = hyperdet_with_gradient(t)
     size = np.abs(det)
-    phase = np.where(size > 0.0, det / np.where(size > 0.0, size, 1.0), 0.0)
+    # D / |D| by real divisions: 1/|D| overflows where |D| is subnormal, and
+    # D = 0 exactly where |D| = 0
+    scale = np.where(size > 0.0, size, 1.0)
+    phase = det.real / scale + 1j * (det.imag / scale)
     coef = np.where(kept, 2.0 / ws, 0.0)
     dt = (coef * phase)[..., None] * ddet.conj() - (coef * 2.0 * size / ws)[..., None] * t
     return _tangent(u, 2.0 * dt @ basis.conj().T)
 
 
-def _conjugate_gradient_lockstep(u, basis):
-    """Riemannian conjugate gradient from every isometry of the stack u, all
-    restarts stepped together.
+def _project(u, vecs):
+    """Each of the j vectors per restart in the (k, m, j, r) stack vecs, projected
+    onto the tangent space at that restart's u as _tangent does; with m ahead
+    of j, one matmul per restart serves all j vectors."""
+    k, m, j, r = vecs.shape
+    uhx = (_adjoint(u) @ vecs.reshape(k, m, j * r)).reshape(k, r, j, r)
+    # the Hermitian part of each r x r block u^H x_i
+    sym = 0.5 * (uhx + uhx.transpose(0, 3, 2, 1).conj())
+    return vecs - (u @ sym.reshape(k, r, j * r)).reshape(k, m, j, r)
 
-    Polak-Ribiere+ directions are transported by projection onto the new
-    tangent space; a direction that is not a descent direction is replaced by
-    steepest descent. Each step is an Armijo backtracking search that starts
-    at twice the restart's last accepted step and halves it; the trial points
-    of every restart still searching go in one objective call, and gradients
-    are computed only at accepted points. A restart stops when no step shows a
-    decrease above the rounding of its value, or when an accepted step lowers
-    it by no more than that rounding, and in any case after the iteration cap.
-    Every restart's arithmetic is its own, so it ends as it would alone.
+
+def _two_loop(g, pairs, rho, gamma):
+    """The L-BFGS direction -H g of each restart by the two-loop recursion over
+    its stored pairs: pairs[:, :, 0, i] is s_i and pairs[:, :, 1, i] is y_i,
+    oldest first, and an empty slot has rho = 0, so it adds nothing."""
+    # one contiguous (k, m, r) stack per slot runs faster than strided views
+    s, y = pairs.transpose(2, 3, 0, 1, 4).copy()
+    rho = rho.T
+    q = g.copy()
+    alphas = np.empty(rho.shape)
+    for i in reversed(range(rho.shape[0])):
+        alphas[i] = rho[i] * _inner(s[i], q)
+        q -= alphas[i, :, None, None] * y[i]
+    q *= gamma[:, None, None]
+    for i in range(rho.shape[0]):
+        q += (alphas[i] - rho[i] * _inner(y[i], q))[:, None, None] * s[i]
+    return -q
+
+
+def _lbfgs_lockstep(u, basis):
+    """Riemannian L-BFGS from every isometry of the stack u, all restarts
+    stepped together.
+
+    Each restart keeps its last _MEMORY curvature pairs (s, y), moved to each
+    new point by projection onto its tangent space. A pair is stored only when
+    <s, y> and <y, y> are at least the smallest normal number, so that its
+    1/<s, y> and the initial inverse-Hessian scale <s, y>/<y, y> are finite;
+    that scale comes from the newest stored pair. A direction that is not a
+    descent direction is replaced by steepest descent. Each step is an Armijo
+    backtracking search from a trial step of 1; the trial points of every
+    restart still searching go in one objective call. A restart stops when no
+    step shows a decrease above the rounding of its value, or when an accepted
+    step lowers it by no more than that rounding, and in any case after the
+    iteration cap; gradients are computed only for restarts that go on. Every
+    restart's arithmetic is its own, so it ends as it would alone.
     Returns (u, values, nfev, converged) in restart order.
     """
-    n_restarts = u.shape[0]
+    n_restarts, m, r = u.shape
     f = _average_tangle(u, basis)
     g = _riemannian_gradient(u, basis)
     d = -g
-    gg = _inner(g, g)
-    step = np.full(n_restarts, 0.5)  # so that the first trial step is 1
+    # slot _MEMORY holds the newest step's pair until it is stored or dropped
+    pairs = np.zeros((n_restarts, m, 2, _MEMORY + 1, r), dtype=complex)
+    rho = np.zeros((n_restarts, _MEMORY))
+    gamma = np.ones(n_restarts)
+    u_end, f_end = u.copy(), f.copy()
     nfev = np.ones(n_restarts, dtype=int)
     converged = np.zeros(n_restarts, dtype=bool)
-    live = np.arange(n_restarts)
+    rows = np.arange(n_restarts)  # the restart of each row still searching
     for _ in range(_SEARCH_MAXITER):
-        slope = _inner(g[live], d[live])
-        floor = _EPS * f[live]  # a decrease at or below this is rounding
-        alpha = 2.0 * step[live]
-        accepted = np.zeros(live.size, dtype=bool)
-        stalled = np.zeros(live.size, dtype=bool)
-        trying = np.flatnonzero(-alpha * slope > floor)
-        levels = 1  # the first round tries each restart's own step alone
+        slope = _inner(g, d)
+        floor = _EPS * f  # a decrease at or below this is rounding
+        alpha = np.ones(rows.size)
+        step = np.empty(rows.size)
+        accepted = np.zeros(rows.size, dtype=bool)
+        stalled = np.zeros(rows.size, dtype=bool)
+        trying = np.flatnonzero(-slope > floor)
+        levels = 1  # the first round tries the unit step alone
         while trying.size:
-            ids = live[trying]
             # the next `levels` halvings of each pending step, tried at once; the
             # first one that passes is the one a halving loop would have taken
             a = alpha[trying, None] * _HALVINGS[:levels]
             slopes = a * slope[trying, None]
-            trial = _retract(u[ids, None] + a[..., None, None] * d[ids, None])
+            trial = _retract(u[trying, None] + a[..., None, None] * d[trying, None])
             f_trial = _average_tangle(trial, basis)
-            nfev[ids] += levels
-            ok = (f_trial <= f[ids, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
+            nfev[rows[trying]] += levels
+            ok = (f_trial <= f[trying, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
-            won, ids = trying[hit], ids[hit]
+            won = trying[hit]
             accepted[won] = True
-            stalled[won] = f[ids] - f_trial[hit, first] <= floor[won]
-            u[ids], f[ids], step[ids] = trial[hit, first], f_trial[hit, first], a[hit, first]
+            stalled[won] = f[won] - f_trial[hit, first] <= floor[won]
+            u[won], f[won], step[won] = trial[hit, first], f_trial[hit, first], a[hit, first]
             trying = trying[~hit]
             alpha[trying] *= 0.5**levels
             trying = trying[-alpha[trying] * slope[trying] > floor[trying]]
             levels = _HALVINGS.size
+        u_end[rows], f_end[rows] = u, f
 
-        moved = live[accepted]
-        g_new = _riemannian_gradient(u[moved], basis)
-        gg_new = _inner(g_new, g_new)
-        # g_new is tangent at the new point, so transporting the old gradient
-        # first would not change its inner product with g_new
-        beta = np.maximum(0.0, (gg_new - _inner(g_new, g[moved])) / gg[moved])
-        d_new = beta[:, None, None] * _tangent(u[moved], d[moved]) - g_new
-        uphill = _inner(g_new, d_new) >= 0.0
-        d_new[uphill] = -g_new[uphill]
-        g[moved], d[moved], gg[moved] = g_new, d_new, gg_new
-
-        done = ~accepted | stalled
-        converged[live[done]] = True
-        live = live[~done]
-        if not live.size:
-            break
-    return u, f, nfev, converged
+        going = accepted & ~stalled
+        if not going.all():
+            converged[rows[~going]] = True
+            rows, u, f, g, d, step, pairs, rho, gamma = (
+                x[going] for x in (rows, u, f, g, d, step, pairs, rho, gamma)
+            )
+            if not rows.size:
+                break
+        g_new = _riemannian_gradient(u, basis)
+        # the stored pairs and the new one, (step d, old g), moved to the new
+        # point in one projection
+        pairs[:, :, 0, -1] = step[:, None, None] * d
+        pairs[:, :, 1, -1] = g
+        pairs = _project(u, pairs.reshape(rows.size, m, -1, r)).reshape(pairs.shape)
+        pairs[:, :, 1, -1] = g_new - pairs[:, :, 1, -1]
+        s_new, y_new = pairs[:, :, 0, -1], pairs[:, :, 1, -1]
+        sy, yy = _inner(s_new, y_new), _inner(y_new, y_new)
+        keep = (sy >= _TINY) & (yy >= _TINY)
+        pairs[keep, :, :, :-1] = pairs[keep, :, :, 1:]
+        rho[keep] = np.concatenate((rho[keep, 1:], 1.0 / sy[keep, None]), axis=1)
+        gamma[keep] = sy[keep] / yy[keep]
+        d = _two_loop(g_new, pairs[:, :, :, :-1], rho, gamma)
+        uphill = _inner(g_new, d) >= 0.0
+        d[uphill] = -g_new[uphill]
+        g = g_new
+    return u_end, f_end, nfev, converged
 
 
 def min_avg_tangle(rho, m, restarts=20, seed=0):
     """Upper-bound the convex-roof tangle by searching the mixing isometry.
 
-    Deterministic for fixed (rho, m, restarts, seed); the best restart wins.
-    All restarts run together, each exactly as it would alone: a Riemannian
-    conjugate gradient on the m x r isometries with the analytic gradient of
-    the average tangle.
+    Deterministic for fixed (rho, m, restarts, seed); the first restart with
+    the least value wins, and upper_bound is that restart's own value. All
+    restarts run together, each exactly as it would alone: a Riemannian L-BFGS
+    on the m x r isometries with the analytic gradient of the average tangle.
     """
     if not isinstance(rho, DensityMatrix) or rho.dim != 8:
         raise BadParamsError("min_avg_tangle expects an 8x8 DensityMatrix")
@@ -331,11 +383,11 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     x0s = np.array([np.random.default_rng(s).standard_normal(2 * m * r) for s in seeds])
     mr = m * r
     mats = x0s[:, :mr].reshape(-1, m, r) + 1j * x0s[:, mr:].reshape(-1, m, r)
-    u, funs, nfev, converged = _conjugate_gradient_lockstep(_retract(mats), basis)
+    u, funs, nfev, converged = _lbfgs_lockstep(_retract(mats), basis)
     best = int(np.argmin(funs))  # the first of the minimal values
     ens = hjw_ensemble(rho, u[best])
     return DecompositionSearchResult(
-        upper_bound=ensemble_average_tangle(ens),
+        upper_bound=float(funs[best]),
         best_ensemble=ens,
         restarts_used=restarts,
         converged=bool(converged[best]),

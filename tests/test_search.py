@@ -1,6 +1,8 @@
 """The convex-roof search: the analytic hyperdeterminant gradient, the
 Riemannian pieces on the isometries, and properties of min_avg_tangle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from tritangle import (
     density_from_ensemble,
+    ensemble_average_tangle,
     min_avg_tangle,
     mixed_three_tangle,
+    pi_state,
     rho,
     tangle_from_amps,
     thresholds,
@@ -101,6 +105,42 @@ def test_gradient_is_tangent_and_retractions_are_isometries():
             assert np.all(diag.real > 0.0)
 
 
+def test_stacked_projection_matches_tangent():
+    rng = np.random.default_rng(65)
+    for m, r in ((3, 3), (5, 3), (8, 2)):
+        u = random_isometries(rng, 6, m, r)
+        vecs = rng.standard_normal((6, m, 7, r)) + 1j * rng.standard_normal((6, m, 7, r))
+        projected = roof._project(u, vecs)
+        for i in range(7):
+            assert np.max(np.abs(projected[:, :, i] - roof._tangent(u, vecs[:, :, i]))) <= 1e-14
+
+
+def test_two_loop_matches_dense_bfgs_update():
+    # reference: H = V^T H V + rho s s^T with V = I - rho y s^T, from H = gamma I,
+    # oldest pair first, in the real coordinates where <a, b> = Re tr(a^H b)
+    rng = np.random.default_rng(66)
+    k, m, r, memory = 3, 5, 3, 4
+    pairs = rng.standard_normal((k, m, 2, memory, r)) + 1j * rng.standard_normal((k, m, 2, memory, r))
+    pairs[:, :, :, 0] = 0.0  # an empty slot
+    g = rng.standard_normal((k, m, r)) + 1j * rng.standard_normal((k, m, r))
+    # the recursion holds for any rho; an empty slot has rho = 0
+    rho_ = np.zeros((k, memory))
+    rho_[:, 1:] = rng.uniform(0.5, 2.0, (k, memory - 1))
+    gamma = rng.uniform(0.5, 2.0, k)
+    direction = roof._two_loop(g, pairs, rho_, gamma)
+
+    def real(x):
+        return np.concatenate((x.real.ravel(), x.imag.ravel()))
+
+    for j in range(k):
+        h = gamma[j] * np.eye(2 * m * r)
+        for i in range(memory):
+            s_i, y_i = real(pairs[j, :, 0, i]), real(pairs[j, :, 1, i])
+            v = np.eye(2 * m * r) - rho_[j, i] * np.outer(y_i, s_i)
+            h = v.T @ h @ v + rho_[j, i] * np.outer(s_i, s_i)
+        assert np.max(np.abs(real(direction[j]) + h @ real(g[j]))) <= 1e-12 * np.max(np.abs(h @ real(g[j])))
+
+
 @pytest.mark.parametrize(
     "n, u, seed",
     [
@@ -115,6 +155,40 @@ def test_zero_region_gate_met(n, u, seed):
     p = u * thresholds(n).p0
     result = min_avg_tangle(rho(p, (1.0 - p) / n), m=5, restarts=20, seed=seed)
     assert result.upper_bound <= 1e-4
+
+
+def alpha_ii_point(n, u):
+    # the state at relative position u inside the ALPHA_II interval [p1, 1], and its tangle
+    p1 = thresholds(n).p1
+    p = p1 + u * (1.0 - p1)
+    return rho(p, (1.0 - p) / n), mixed_three_tangle(p, n).value
+
+
+@pytest.mark.parametrize(
+    "target, exact, m, seed",
+    [
+        # minima that restarts approach by decreases just above rounding
+        (*alpha_ii_point(3.0, 0.977), 5, 1),
+        (pi_state(0.5, math.inf), 0.0, 4, 0),
+    ],
+    ids=["alpha_ii_n3", "pi_p0.5"],
+)
+def test_searches_on_kinked_landscapes_converge(target, exact, m, seed):
+    result = min_avg_tangle(target, m=m, restarts=20, seed=seed)
+    assert result.converged
+    # criterion 9's tolerances
+    assert exact - 1e-9 <= result.upper_bound <= exact + 0.02
+
+
+@pytest.mark.parametrize(
+    "target",
+    [rho(0.88, 0.06), rho(0.3, 0.35), rho(0.97, 0.01), pi_state(0.1, math.inf)],
+    ids=["alpha_i", "zero", "alpha_ii", "pi"],
+)
+def test_upper_bound_is_the_best_restart_value(target):
+    result = min_avg_tangle(target, m=5, restarts=6, seed=13)
+    assert result.upper_bound == min(result.restart_values)
+    assert abs(ensemble_average_tangle(result.best_ensemble) - result.upper_bound) <= 1e-15
 
 
 def test_restarts_are_independent():
