@@ -1,4 +1,4 @@
-"""Closed-form mixture three-tangle, threshold root solvers, CKW quantities.
+"""Closed-form mixture three-tangle, its thresholds, CKW quantities.
 
 All horizontal-axis formulas take (p, n) with q = (1-p)/n substituted, except
 one_tangle_min and concurrence_sum_sq which take general (p, q).
@@ -193,11 +193,11 @@ def brentq(f, a, b, xtol):
     raise NoRootError(f"{f.__name__!r}: no convergence after {_BRENT_MAXITER} iterations")
 
 
-def _bracket_root(f, lo, hi, intervals, largest):
-    """Largest or smallest sign-change root of f on [lo, hi].
+def _bracket_root(f, lo, hi, intervals):
+    """Smallest sign-change root of f on [lo, hi].
 
-    f is scanned on intervals + 1 even points; the last or first interval with
-    an exact zero at an end or a sign change decides, the zero before brentq.
+    f is scanned on intervals + 1 even points; the first interval with an
+    exact zero at an end or a sign change decides, the zero before brentq.
     """
     xs = np.linspace(lo, hi, intervals + 1)
     fs = _scan_values(f, xs)
@@ -205,7 +205,7 @@ def _bracket_root(f, lo, hi, intervals, largest):
     hits = np.flatnonzero((fa == 0.0) | (fb == 0.0) | (fa * fb < 0.0))
     if hits.size == 0:
         raise NoRootError(f"no sign change of {f.__name__!r} in [{lo}, {hi}]")
-    i = hits[-1] if largest else hits[0]
+    i = hits[0]
     if fa[i] == 0.0:
         return float(xs[i])
     if fb[i] == 0.0:
@@ -214,25 +214,39 @@ def _bracket_root(f, lo, hi, intervals, largest):
 
 
 def solve_p0(n):
-    """Largest zero of alpha_I on (0, 1); the phase-zero curve's last crossing."""
+    """Largest zero of alpha_I on (0, 1); the phase-zero curve's last crossing.
+
+    With u = sqrt(p/(1-p)), alpha_I = (1-p)^2 g(u) for the quartic
+    g(u) = u^4 - c_lin u^2 - c_root u - c_quad, so p0 = u^2/(1+u^2) at the
+    largest root of g. Newton's method starts at the Cauchy bound
+    1 + max(c_lin, c_quad, c_root). Above the largest root g is increasing and
+    convex, so the iterates fall monotonically; the first step that does not
+    lower u ends the descent at the root to rounding.
+    """
     n = check_n(n)
-
-    def f(p):
-        return alpha_I(p, n)
-
-    return _bracket_root(f, 0.5, 1.0 - 1e-9, _SCAN_INTERVALS, largest=True)
+    c_lin, c_quad, c_root = _coeffs(n)
+    u = 1.0 + max(c_lin, c_quad, c_root)
+    while True:
+        g = u * (u * (u * u - c_lin) - c_root) - c_quad
+        dg = u * (4.0 * u * u - 2.0 * c_lin) - c_root
+        step = u - g / dg
+        if not step < u:
+            break
+        u = step
+    return u * u / (1.0 + u * u)
 
 
 def solve_p1(n):
-    """Tangency point: where the chord to (1,1) touches the region-I curve."""
+    """Tangency point: where the chord to (1,1) touches the region-I curve.
+
+    The tangency condition (c_root/2)(2p-1)/sqrt(p(1-p)) = 1 + c_lin - c_quad
+    reads 2s/sqrt(1-s^2) = k with s = 2p-1 and k = 2(1 + c_lin - c_quad)/c_root,
+    so s = k/sqrt(4+k^2).
+    """
     n = check_n(n)
     c_lin, c_quad, c_root = _coeffs(n)
-    rhs = 1.0 + c_lin - c_quad
-
-    def f(p):
-        return (c_root / 2.0) * (2.0 * p - 1.0) / np.sqrt(p * (1.0 - p)) - rhs
-
-    return _bracket_root(f, 0.5 + 1e-9, 1.0 - 1e-9, _SCAN_INTERVALS, largest=False)
+    k = 2.0 * (1.0 + c_lin - c_quad) / c_root
+    return (1.0 + k / math.sqrt(4.0 + k * k)) / 2.0
 
 
 def _p_star_above(p0, n):
@@ -241,7 +255,7 @@ def _p_star_above(p0, n):
     def f(p):
         return alpha_I_dd(p, n)
 
-    return _bracket_root(f, p0, 1.0 - 1e-6, _SCAN_INTERVALS, largest=False)
+    return _bracket_root(f, p0, 1.0 - 1e-6, _SCAN_INTERVALS)
 
 
 def solve_p_star(n):

@@ -175,15 +175,14 @@ def test_no_root_error():
         return np.ones_like(np.asarray(p, dtype=float))
 
     with pytest.raises(NoRootError):
-        _bracket_root(f, 0.0, 1.0, 64, largest=True)
+        _bracket_root(f, 0.0, 1.0, 64)
 
 
-def loop_bracket_root(f, lo, hi, intervals, largest):
+def loop_bracket_root(f, lo, hi, intervals):
     """The interval-by-interval scan _bracket_root replaced, kept as its reference."""
     xs = np.linspace(lo, hi, intervals + 1)
     fs = np.asarray(f(xs), dtype=float)
-    order = range(intervals - 1, -1, -1) if largest else range(intervals)
-    for i in order:
+    for i in range(intervals):
         a, b = xs[i], xs[i + 1]
         fa, fb = fs[i], fs[i + 1]
         if fa == 0.0:
@@ -195,8 +194,7 @@ def loop_bracket_root(f, lo, hi, intervals, largest):
     raise NoRootError("no sign change")
 
 
-@pytest.mark.parametrize("largest", [True, False])
-def test_bracket_root_equals_loop_scan(largest):
+def test_bracket_root_equals_loop_scan():
     # several roots per range, some on grid points (exact zeros), some not
     def sines(p):
         return np.sin(20.0 * p)
@@ -210,9 +208,8 @@ def test_bracket_root_equals_loop_scan(largest):
     cases = [(sines, 0.01, 1.0, 64), (grid_zeros, 0.0, 1.0, 64), (grid_zeros, 0.3, 1.0, 50)]
     cases += [(double_root, 0.0, 1.0, 64), (sines, 0.0, 1.0, 2048)]
     for f, lo, hi, intervals in cases:
-        got = _bracket_root(f, lo, hi, intervals, largest)
-        assert got == loop_bracket_root(f, lo, hi, intervals, largest)
-    assert _bracket_root(grid_zeros, 0.0, 1.0, 64, largest) == (0.8125 if largest else 0.25)
+        assert _bracket_root(f, lo, hi, intervals) == loop_bracket_root(f, lo, hi, intervals)
+    assert _bracket_root(grid_zeros, 0.0, 1.0, 64) == 0.25
 
 
 def test_alpha_I_basic_values():
@@ -424,3 +421,50 @@ def test_ckw_audit_margins():
 def test_ckw_audit_validation():
     with pytest.raises(BadParamsError):
         ckw_audit(2.0, 1)
+
+
+# n grid of the 50-digit threshold reference: the table rows and the edges
+# named, the rest seeded log-uniform in [1, 1e150]
+REFERENCE_N = list(N_LIST) + [1.0 + 1e-12, 2.00000001, 1e150]
+REFERENCE_N += list(10.0 ** np.random.default_rng(20081010).uniform(0.0, 150.0, 200))
+
+
+def reference_thresholds(mp, n):
+    """p0, p1 and p* at 50 digits, each solved from its defining equation in p."""
+    n = mp.mpf(n)
+    c_lin = 4 * mp.sqrt(n - 1) / n
+    c_quad = 4 * (n - 1) / (3 * n * n)
+    c_root = 8 * mp.sqrt(6 * n) * (1 + (n - 1) ** mp.mpf(1.5)) / (9 * n * n)
+
+    def alpha(p):
+        return p * p - c_lin * p * (1 - p) - c_quad * (1 - p) ** 2 - c_root * mp.sqrt(p * (1 - p) ** 3)
+
+    def tangency(p):
+        return c_root / 2 * (2 * p - 1) / mp.sqrt(p * (1 - p)) - (1 + c_lin - c_quad)
+
+    bracket = 9 * n * n + 36 * n * mp.sqrt(n - 1) - 12 * (n - 1)
+    c = mp.sqrt(6 * n) * (1 + (n - 1) ** mp.mpf(1.5))
+
+    def curvature(p):
+        return (bracket - c * (8 * p * p - 4 * p - 1) / mp.sqrt(p**3 * (1 - p))) / (n * n)
+
+    # alpha_I < 0 at 1/2 and > 0 at 1 for every n, and alpha_I_dd changes sign
+    # once above p0; the bracketing solver cannot leave its bracket
+    top = 1 - mp.mpf(10) ** -40
+    p0 = mp.findroot(alpha, (mp.mpf(0.5), top), solver="anderson")
+    p1 = mp.findroot(tangency, (mp.mpf(0.5), top), solver="anderson")
+    p_star = mp.findroot(curvature, (p0, 1 - mp.mpf(10) ** -6), solver="anderson")
+    return p0, p1, p_star
+
+
+def test_thresholds_match_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    worst = {"p0": 0.0, "p1": 0.0, "p_star": 0.0}
+    with mpmath.workdps(50):
+        for n in REFERENCE_N:
+            th = thresholds(n)
+            for name, want in zip(worst, reference_thresholds(mpmath.mp, n)):
+                worst[name] = max(worst[name], float(abs(getattr(th, name) - want)))
+    assert worst["p0"] <= 4e-16, worst
+    assert worst["p1"] <= 4e-16, worst
+    assert worst["p_star"] <= 5e-14, worst

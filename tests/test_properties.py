@@ -4,10 +4,15 @@ The examples are derandomized and bounded, so every run checks the same
 inputs and stays quick.
 """
 
+import math
+import warnings
+
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tritangle import mixed_three_tangle, thresholds
+from tritangle import alpha_I, mixed_three_tangle, solve_p0, solve_p1, thresholds
+from tritangle.analytic import _coeffs
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -55,3 +60,26 @@ def test_w_flipped_w_duality(n, p):
     got = mixed_three_tangle(p, n, th)
     want = mixed_three_tangle(p, dual, th_dual)
     assert abs(got.value - want.value) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(min_value=0.0, max_value=150.0))
+@example(0.0)
+@example(1e-12 / math.log(10.0))
+@example(math.log10(2.0))
+@example(150.0)
+def test_closed_form_p0_p1_solve_their_equations(log10_n):
+    n = 10.0**log10_n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p0 = solve_p0(n)
+        assert 0.5 < p0 < 1.0
+        # p0 is the last crossing: alpha_I changes sign there and stays positive above
+        below, above = alpha_I(np.array([p0 * (1.0 - 1e-12), p0 * (1.0 + 1e-12)]), n)
+        assert below < 0.0 < above
+        assert np.all(alpha_I(np.linspace(p0, 1.0, 66)[1:-1], n) > 0.0)
+        # p1 zeroes the tangency equation the chord slope comes from
+        p1 = solve_p1(n)
+        c_lin, c_quad, c_root = _coeffs(n)
+        slope = (c_root / 2.0) * (2.0 * p1 - 1.0) / math.sqrt(p1 * (1.0 - p1))
+        assert abs(slope - (1.0 + c_lin - c_quad)) <= 1e-13
