@@ -42,25 +42,6 @@ def _hyperdet(a0, a1, a2, a3, a4, a5, a6, a7):
     return d1 - 2.0 * d2 + 4.0 * d3
 
 
-# for each a_k, the other three amplitudes of its term in 4 (a0 a3 a5 a6 + a1 a2 a4 a7)
-_TRIPLES = [[3, 5, 6], [2, 4, 7], [1, 4, 7], [0, 5, 6], [1, 2, 7], [0, 3, 6], [0, 3, 5], [1, 2, 4]]
-
-
-def hyperdet_with_gradient(amps):
-    """Hyperdeterminant D of (..., 8) amplitude rows, and its holomorphic
-    partials dD/da_k shaped (..., 8); 4|D| equals tangle_from_amps bit for bit.
-
-    With Pk = a_k a_(7-k) and S = P0 + P1 + P2 + P3, D = 2 sum P^2 - S^2 +
-    4 (a0 a3 a5 a6 + a1 a2 a4 a7); so dD/da0 = a7 (4 P0 - 2 S) + 4 a3 a5 a6.
-    """
-    a = np.asarray(amps, dtype=complex)
-    rows = a.reshape(-1, 8)
-    pairs = rows * rows[:, ::-1]  # a_k a_(7-k)
-    total = pairs[:, :4].sum(axis=-1, keepdims=True)
-    grad = rows[:, ::-1] * (4.0 * pairs - 2.0 * total) + 4.0 * rows[:, _TRIPLES].prod(axis=-1)
-    return _hyperdet(*rows.T.copy()).reshape(a.shape[:-1]), grad.reshape(a.shape)
-
-
 def three_tangle_pure(psi):
     """Three-tangle of a normalized pure state; value in [0, 1]."""
     return float(tangle_from_amps(psi.amps))

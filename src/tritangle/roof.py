@@ -2,14 +2,19 @@
 envelopes, and an ensemble-decomposition search upper-bounding the mixed-state
 three-tangle."""
 
+import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
 from .family import check_n, z_tangle_closed
-from .measures import hyperdet_with_gradient, tangle_from_amps
+from .measures import _hyperdet
+# unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in roof
+from .measures import tangle_from_amps  # noqa: F401
 from .states import DensityMatrix, Ensemble, eigh_desc, pure_from_amplitudes
 
 RANK_TOL = 1e-12
@@ -191,9 +196,15 @@ def _adjoint(x):
     return x.conj().swapaxes(-1, -2)
 
 
+def _flat(x):
+    """Each matrix of a complex (k, m, r) stack as one float row of its 2mr real
+    coordinates; a view where the stack is contiguous."""
+    return np.ascontiguousarray(x).reshape(x.shape[0], -1).view(float)
+
+
 def _inner(a, b):
     """Re tr(a^H b) of each pair in two (k, m, r) stacks."""
-    return (a.conj() * b).real.sum(axis=(-2, -1))
+    return np.vecdot(_flat(a), _flat(b))
 
 
 def _tangent(u, x):
@@ -203,44 +214,117 @@ def _tangent(u, x):
 
 
 def _retract(mat):
-    """Q factor of each matrix of a stack, column signs fixed so that diag(R) > 0."""
-    q, r = np.linalg.qr(mat)
-    flip = np.diagonal(r, axis1=-2, axis2=-1).real < 0.0
-    return np.where(flip[..., None, :], -q, q)
+    """Q factor of each matrix of a stack with diag(R) > 0, by modified
+    Gram-Schmidt over its r columns; the search retracts u + a d with d tangent
+    at u, whose Gram matrix I + a^2 d^H d is at least I, so every column keeps
+    a norm of at least 1 as it is orthogonalized."""
+    q = np.empty(mat.shape, dtype=complex)
+    done = []
+    # each column as one contiguous (..., m) stack
+    for v in mat.transpose(mat.ndim - 1, *range(mat.ndim - 1)).copy():
+        for c in done:
+            v = v - np.vecdot(c, v)[..., None] * c
+        flat = v.view(float)
+        v = v / np.sqrt(np.vecdot(flat, flat))[..., None]
+        q[..., len(done)] = v
+        done.append(v)
+    return q
 
 
-def _members(u, basis):
-    """Unnormalized members t = u @ basis, their weights, and which weights count."""
-    t = u @ basis
-    ws = np.sum(np.abs(t) ** 2, axis=-1)
+@functools.cache
+def _hyperdet_tensor():
+    """24 T for the symmetric tensor T with D(t) = sum T_abcd t_a t_b t_c t_d,
+    an 8 x 8 x 8 x 8 array of integers, built on first use.
+
+    Polarization gives 24 T_ijkl = sum over the subsets S of (i, j, k, l) of
+    (-1)^(4 - |S|) D(sum of e_s over S): D is evaluated by _hyperdet itself, at
+    vectors of small integers where its value is an exact integer. T is
+    symmetric, so each of the 330 sorted index quadruples fills every
+    permutation of itself.
+    """
+    quads = np.array(list(itertools.combinations_with_replacement(range(8), 4)))
+    subsets = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+    points = (subsets @ np.eye(8)[quads]).reshape(-1, 8)
+    values = _hyperdet(*points.T).reshape(len(quads), len(subsets))
+    polar = values @ (-1.0) ** (4 - subsets.sum(axis=1))
+    lookup = np.zeros(8**4, dtype=int)
+    lookup[np.ravel_multi_index(quads.T, (8,) * 4)] = np.arange(len(quads))
+    every = np.sort(np.indices((8,) * 4).reshape(4, -1), axis=0)
+    tensor = polar[lookup[np.ravel_multi_index(every, (8,) * 4)]].reshape((8,) * 4)
+    tensor.setflags(write=False)  # every caller shares this one array
+    return tensor
+
+
+def _restricted_quartic(basis):
+    """The symmetric r^2 x r^2 matrix M with D(x @ basis) = (x kron x)^T M (x kron x)
+    for every x in C^r, from the r x 8 basis."""
+    r = basis.shape[0]
+    form = _hyperdet_tensor()
+    for _ in range(4):
+        # contract the leading amplitude index; the new range index goes last
+        form = np.tensordot(form, basis, axes=(0, 1))
+    return form.reshape(r * r, r * r) / 24.0
+
+
+def _quartic_rows(x, quartic):
+    """x kron x and M (x kron x) for each row x of a (..., r) stack, as (N, r^2)
+    arrays: one flat matmul runs far faster than a stacked one."""
+    rows = x.reshape(-1, x.shape[-1])
+    xx = (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return xx, xx @ quartic
+
+
+def restricted_hyperdet(x, quartic):
+    """Hyperdeterminant D(x @ basis) of a (..., r) stack of rows x, from the
+    quartic of _restricted_quartic(basis)."""
+    xx, mxx = _quartic_rows(x, quartic)
+    return np.vecdot(xx.conj(), mxx).reshape(x.shape[:-1])
+
+
+def _weights(u, lam):
+    """Member weights w = sum_i l_i |u_ji|^2, and which of them count: a member
+    at or below the weight floor adds 0 to F."""
+    ws = (u.real**2 + u.imag**2) @ lam
     kept = ws > _WEIGHT_FLOOR
-    return t, np.where(kept, ws, 1.0), kept
+    return np.where(kept, ws, 1.0), kept
 
 
-def _average_tangle(u, basis):
-    """F(u) = sum_j 4|D(t_j)| / w_j for a stack of isometries; a member at or
-    below the weight floor adds 0."""
-    t, ws, kept = _members(u, basis)
-    return np.sum(np.where(kept, tangle_from_amps(t) / ws, 0.0), axis=-1)
+def _average_tangle(u, quartic, lam):
+    """F(u) = sum_j 4|D_j| / w_j for a stack of isometries; a member at or below
+    the weight floor adds 0."""
+    ws, kept = _weights(u, lam)
+    det = restricted_hyperdet(u, quartic)
+    return np.sum(np.where(kept, 4.0 * np.abs(det) / ws, 0.0), axis=-1)
 
 
-def _riemannian_gradient(u, basis):
+def _restricted_partials(x, quartic):
+    """D and its holomorphic partials dD/dx = 4 N x for each row x of a (..., r)
+    stack, where N is the r x r reshape of M (x kron x)."""
+    r = x.shape[-1]
+    _, mxx = _quartic_rows(x, quartic)
+    xc = x.reshape(-1, r).conj()
+    nx = np.vecdot(xc[:, None, :], mxx.reshape(-1, r, r))
+    return np.vecdot(xc, nx).reshape(x.shape[:-1]), 4.0 * nx.reshape(x.shape)
+
+
+def _riemannian_gradient(u, quartic, lam):
     """Gradient of F on the isometries, in the metric Re tr(a^H b).
 
-    With Wirtinger derivatives, dF_j/d conj(t) = 4 [D conj(dD/dt) / (2|D| w) -
-    |D| t / w^2] (a phase of 0 where D = 0); the Euclidean gradient is
-    2 (dF/d conj(t)) @ basis^H, projected onto the tangent space at u.
+    Row j of u is a member's x, with w = sum_i l_i |x_i|^2. With Wirtinger
+    derivatives, dF_j/d conj(x) = 4 [D conj(dD/dx) / (2|D| w) - |D| l x / w^2]
+    (a phase of 0 where D = 0); the Euclidean gradient is 2 dF/d conj(u),
+    projected onto the tangent space at u.
     """
-    t, ws, kept = _members(u, basis)
-    det, ddet = hyperdet_with_gradient(t)
+    ws, kept = _weights(u, lam)
+    det, partials = _restricted_partials(u, quartic)
     size = np.abs(det)
     # D / |D| by real divisions: 1/|D| overflows where |D| is subnormal, and
     # D = 0 exactly where |D| = 0
     scale = np.where(size > 0.0, size, 1.0)
     phase = det.real / scale + 1j * (det.imag / scale)
-    coef = np.where(kept, 2.0 / ws, 0.0)
-    dt = (coef * phase)[..., None] * ddet.conj() - (coef * 2.0 * size / ws)[..., None] * t
-    return _tangent(u, 2.0 * dt @ basis.conj().T)
+    coef = np.where(kept, 4.0 / ws, 0.0)
+    grad = (coef * phase)[..., None] * partials.conj() - (2.0 * coef * size / ws)[..., None] * (u * lam)
+    return _tangent(u, grad)
 
 
 def _project(u, vecs):
@@ -258,21 +342,23 @@ def _two_loop(g, pairs, rho, gamma):
     """The L-BFGS direction -H g of each restart by the two-loop recursion over
     its stored pairs: pairs[:, :, 0, i] is s_i and pairs[:, :, 1, i] is y_i,
     oldest first, and an empty slot has rho = 0, so it adds nothing."""
-    # one contiguous (k, m, r) stack per slot runs faster than strided views
-    s, y = pairs.transpose(2, 3, 0, 1, 4).copy()
+    k = g.shape[0]
+    # each slot's (k, m, r) stack as contiguous float rows, so that every inner
+    # product is one vecdot
+    s, y = pairs.transpose(2, 3, 0, 1, 4).copy().view(float).reshape(2, rho.shape[1], k, -1)
     rho = rho.T
-    q = g.copy()
+    q = _flat(g).copy()
     alphas = np.empty(rho.shape)
     for i in reversed(range(rho.shape[0])):
-        alphas[i] = rho[i] * _inner(s[i], q)
-        q -= alphas[i, :, None, None] * y[i]
-    q *= gamma[:, None, None]
+        alphas[i] = rho[i] * np.vecdot(s[i], q)
+        q -= alphas[i, :, None] * y[i]
+    q *= gamma[:, None]
     for i in range(rho.shape[0]):
-        q += (alphas[i] - rho[i] * _inner(y[i], q))[:, None, None] * s[i]
-    return -q
+        q += (alphas[i] - rho[i] * np.vecdot(y[i], q))[:, None] * s[i]
+    return -q.view(complex).reshape(g.shape)
 
 
-def _lbfgs_lockstep(u, basis):
+def _lbfgs_lockstep(u, quartic, lam):
     """Riemannian L-BFGS from every isometry of the stack u, all restarts
     stepped together.
 
@@ -291,8 +377,8 @@ def _lbfgs_lockstep(u, basis):
     Returns (u, values, nfev, converged) in restart order.
     """
     n_restarts, m, r = u.shape
-    f = _average_tangle(u, basis)
-    g = _riemannian_gradient(u, basis)
+    f = _average_tangle(u, quartic, lam)
+    g = _riemannian_gradient(u, quartic, lam)
     d = -g
     # slot _MEMORY holds the newest step's pair until it is stored or dropped
     pairs = np.zeros((n_restarts, m, 2, _MEMORY + 1, r), dtype=complex)
@@ -317,7 +403,7 @@ def _lbfgs_lockstep(u, basis):
             a = alpha[trying, None] * _HALVINGS[:levels]
             slopes = a * slope[trying, None]
             trial = _retract(u[trying, None] + a[..., None, None] * d[trying, None])
-            f_trial = _average_tangle(trial, basis)
+            f_trial = _average_tangle(trial, quartic, lam)
             nfev[rows[trying]] += levels
             ok = (f_trial <= f[trying, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
             hit = ok.any(axis=1)
@@ -340,7 +426,7 @@ def _lbfgs_lockstep(u, basis):
             )
             if not rows.size:
                 break
-        g_new = _riemannian_gradient(u, basis)
+        g_new = _riemannian_gradient(u, quartic, lam)
         # the stored pairs and the new one, (step d, old g), moved to the new
         # point in one projection
         pairs[:, :, 0, -1] = step[:, None, None] * d
@@ -360,6 +446,18 @@ def _lbfgs_lockstep(u, basis):
     return u_end, f_end, nfev, converged
 
 
+def _check_count(name, value, lo, hi=None):
+    """value as an int in [lo, hi]; numpy integers pass, bools and non-integers
+    do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParamsError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise BadParamsError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+    if value < lo:
+        raise BadParamsError(f"{name} must be >= {lo}, got {value!r}")
+    return int(value)
+
+
 def min_avg_tangle(rho, m, restarts=20, seed=0):
     """Upper-bound the convex-roof tangle by searching the mixing isometry.
 
@@ -367,23 +465,26 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     the least value wins, and upper_bound is that restart's own value. All
     restarts run together, each exactly as it would alone: a Riemannian L-BFGS
     on the m x r isometries with the analytic gradient of the average tangle.
+    Both come from the hyperdeterminant restricted to the range of rho, a
+    quartic form in a member's r mixing coefficients, so no member is formed in
+    8 amplitudes.
     """
     if not isinstance(rho, DensityMatrix) or rho.dim != 8:
         raise BadParamsError("min_avg_tangle expects an 8x8 DensityMatrix")
     r = rank_of(rho)
     if r > 4:
         raise BadParamsError(f"rank {r} exceeds the supported maximum 4")
-    if not r <= m <= 8:
-        raise BadParamsError(f"m must lie in [{r}, 8], got {m!r}")
-    if restarts < 1:
-        raise BadParamsError(f"restarts must be >= 1, got {restarts!r}")
+    m = _check_count("m", m, r, 8)
+    restarts = _check_count("restarts", restarts, 1)
+    seed = _check_count("seed", seed, 0)
     vals, vecs = eigh_desc(rho.mat)
-    basis = (vecs[:, :r] * np.sqrt(np.maximum(vals[:r], 0.0))).T  # r x 8
+    lam = np.maximum(vals[:r], 0.0)
+    basis = (vecs[:, :r] * np.sqrt(lam)).T  # r x 8
     seeds = [np.random.SeedSequence(entropy=(seed, k)) for k in range(restarts)]
     x0s = np.array([np.random.default_rng(s).standard_normal(2 * m * r) for s in seeds])
     mr = m * r
     mats = x0s[:, :mr].reshape(-1, m, r) + 1j * x0s[:, mr:].reshape(-1, m, r)
-    u, funs, nfev, converged = _lbfgs_lockstep(_retract(mats), basis)
+    u, funs, nfev, converged = _lbfgs_lockstep(_retract(mats), _restricted_quartic(basis), lam)
     best = int(np.argmin(funs))  # the first of the minimal values
     ens = hjw_ensemble(rho, u[best])
     return DecompositionSearchResult(

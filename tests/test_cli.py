@@ -338,3 +338,12 @@ def test_oracle_deterministic(tmp_path, capsys):
     _, first, _ = run(capsys, ["oracle", "--in", path, "--restarts", "2"])
     _, second, _ = run(capsys, ["oracle", "--in", path, "--restarts", "2"])
     assert first == second
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--restarts", "0"), ("--m", "9")])
+def test_oracle_bad_search_argument_names_it(tmp_path, capsys, flag, value):
+    path = save(tmp_path, "rho.txt", rho(0.3, 0.35))
+    code, out, err = run(capsys, ["oracle", "--in", path, flag, value])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]} must")

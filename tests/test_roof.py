@@ -202,6 +202,30 @@ def test_min_avg_tangle_validation():
         min_avg_tangle(DensityMatrix(np.eye(3) / 3), m=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"m": 5.5}, "m"),
+        ({"m": True}, "m"),
+        ({"m": 5, "restarts": 2.5}, "restarts"),
+        ({"m": 5, "restarts": True}, "restarts"),
+        ({"m": 5, "seed": -1}, "seed"),
+        ({"m": 5, "seed": 0.5}, "seed"),
+        ({"m": 5, "seed": "0"}, "seed"),
+    ],
+)
+def test_min_avg_tangle_refuses_bad_counts(kwargs, name):
+    with pytest.raises(BadParamsError, match=f"^{name} must"):
+        min_avg_tangle(rho(0.5, 0.25), **kwargs)
+
+
+def test_min_avg_tangle_accepts_numpy_integers():
+    target = rho(0.8, 0.1)
+    plain = min_avg_tangle(target, m=4, restarts=2, seed=5)
+    numpy_ints = min_avg_tangle(target, m=np.int64(4), restarts=np.int32(2), seed=np.uint8(5))
+    assert numpy_ints.restart_values == plain.restart_values
+
+
 def test_min_avg_tangle_deterministic():
     target = density_from_ensemble(Ensemble([(0.6, ghz()), (0.4, w())]))
     a = min_avg_tangle(target, m=3, restarts=2, seed=7)

@@ -1,5 +1,6 @@
-"""The convex-roof search: the analytic hyperdeterminant gradient, the
-Riemannian pieces on the isometries, and properties of min_avg_tangle."""
+"""The convex-roof search: the hyperdeterminant restricted to the range of rho
+and its gradient, the Riemannian pieces on the isometries, and properties of
+min_avg_tangle."""
 
 import math
 
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tritangle import (
+    DensityMatrix,
     density_from_ensemble,
     ensemble_average_tangle,
+    ghz,
     min_avg_tangle,
     mixed_three_tangle,
     pi_state,
@@ -20,12 +23,7 @@ from tritangle import (
     trace_distance,
 )
 from tritangle import roof
-from tritangle.measures import hyperdet_with_gradient
-
-
-def random_rows(seed, count):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((count, 8)) + 1j * rng.standard_normal((count, 8))
+from tritangle.measures import _hyperdet
 
 
 def random_isometries(rng, count, m, r):
@@ -34,67 +32,162 @@ def random_isometries(rng, count, m, r):
 
 
 def search_basis(target):
-    # the r x 8 rows sqrt(l_i) <v_i| that min_avg_tangle searches over
+    # the r x 8 rows sqrt(l_i) <v_i| that min_avg_tangle searches over, and the l_i
     vals, vecs = np.linalg.eigh(target.mat)
     keep = vals > 1e-12
-    return (vecs[:, keep] * np.sqrt(vals[keep])).T
+    return (vecs[:, keep] * np.sqrt(vals[keep])).T, vals[keep]
 
 
-def test_hyperdet_gives_the_tangle_bit_for_bit():
-    amps = random_rows(61, 3000)
-    det, _ = hyperdet_with_gradient(amps)
-    assert np.array_equal(4.0 * np.abs(det), tangle_from_amps(amps))
-    # stacks of any shape, and a single state
-    det3, grad3 = hyperdet_with_gradient(amps.reshape(30, 100, 8))
-    assert det3.shape == (30, 100) and grad3.shape == (30, 100, 8)
-    assert np.array_equal(det3.reshape(-1), det)
-    one, one_grad = hyperdet_with_gradient(amps[0])
-    assert one.shape == () and one_grad.shape == (8,)
-    assert 4.0 * abs(one) == tangle_from_amps(amps[0])
+def search_form(target):
+    # the restricted quartic and the member weights l_i that the search runs on
+    basis, lam = search_basis(target)
+    return roof._restricted_quartic(basis), lam
 
 
-def test_hyperdet_partials_match_central_differences():
-    amps = random_rows(62, 400)
-    _, grad = hyperdet_with_gradient(amps)
-    scale = np.linalg.norm(grad, axis=-1)
+def random_rank4_state(seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    weights = rng.uniform(0.1, 1.0, 4)
+    mat = np.einsum("k,ka,kb->ab", weights / weights.sum(), amps, amps.conj())
+    return DensityMatrix(mat)
+
+
+def family_point(region, n, u):
+    # rho at relative position u inside a region's threshold interval
+    th = thresholds(n)
+    lo, hi = {"ZERO": (0.0, th.p0), "ALPHA_I": (th.p0, th.p1), "ALPHA_II": (th.p1, 1.0)}[region]
+    p = lo + u * (hi - lo)
+    return rho(p, (1.0 - p) / n)
+
+
+KERNEL_STATES = {
+    "zero_n2": family_point("ZERO", 2.0, 0.6),
+    "alpha_i_n10": family_point("ALPHA_I", 10.0, 0.4),
+    "alpha_ii_n3": family_point("ALPHA_II", 3.0, 0.7),
+    "pi_p0.5": pi_state(0.5, math.inf),
+    "ghz": ghz().density(),
+    "rank4": random_rank4_state(67),
+}
+
+
+def kernel_bases():
+    # random r x 8 bases of rank 1 to 4, then the search bases of KERNEL_STATES
+    rng = np.random.default_rng(68)
+    for r in range(1, 5):
+        yield f"random_r{r}", rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8))
+    for name, target in KERNEL_STATES.items():
+        yield name, search_basis(target)[0]
+
+
+KERNEL_BASES = dict(kernel_bases())
+
+
+def test_hyperdet_tensor_is_integer_and_exact():
+    tensor = roof._hyperdet_tensor()
+    assert tensor.shape == (8, 8, 8, 8)
+    assert np.array_equal(tensor, np.round(tensor))
+    for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0)):
+        assert np.array_equal(tensor, tensor.transpose(perm))
+    # at small integers every sum is an exact integer, so both routes agree exactly
+    vecs = np.random.default_rng(69).integers(-3, 4, (500, 8)).astype(float)
+    polarized = np.einsum("abcd,na,nb,nc,nd->n", tensor, vecs, vecs, vecs, vecs)
+    assert np.array_equal(polarized, 24.0 * _hyperdet(*vecs.T))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BASES))
+def test_restricted_hyperdet_matches_amplitude_route(name):
+    basis = KERNEL_BASES[name]
+    r = basis.shape[0]
+    rng = np.random.default_rng(70)
+    x = rng.standard_normal((3, 100, r)) + 1j * rng.standard_normal((3, 100, r))
+    quartic = roof._restricted_quartic(basis)
+    assert quartic.shape == (r * r, r * r)
+    got = roof.restricted_hyperdet(x, quartic)
+    t = x @ basis
+    expect = _hyperdet(*np.moveaxis(t, -1, 0))
+    # |D| is at most |t|^4 / 4: the bound is relative to the member's scale
+    scale = np.sum(np.abs(t) ** 2, axis=-1) ** 2
+    assert got.shape == (3, 100)
+    assert np.max(np.abs(got - expect) / scale) <= 1e-14
+    det, _ = roof._restricted_partials(x, quartic)
+    assert np.max(np.abs(det - expect) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("name", list(KERNEL_STATES))
+def test_average_tangle_matches_amplitude_route(name):
+    basis, lam = search_basis(KERNEL_STATES[name])
+    quartic = roof._restricted_quartic(basis)
+    r = lam.size
+    rng = np.random.default_rng(71)
+    for m in sorted({r, 5, 8}):
+        u = random_isometries(rng, 100, m, r)
+        t = u @ basis
+        ws = np.sum(np.abs(t) ** 2, axis=-1)
+        kept = ws > 1e-14
+        amplitude_route = np.sum(np.where(kept, tangle_from_amps(t) / np.where(kept, ws, 1.0), 0.0), axis=-1)
+        assert np.max(np.abs(roof._average_tangle(u, quartic, lam) - amplitude_route)) <= 2e-15
+
+
+def test_restricted_partials_match_central_differences():
+    rng = np.random.default_rng(62)
     h = 1e-5
+    for basis in KERNEL_BASES.values():
+        r = basis.shape[0]
+        quartic = roof._restricted_quartic(basis)
+        x = rng.standard_normal((400, r)) + 1j * rng.standard_normal((400, r))
+        _, grad = roof._restricted_partials(x, quartic)
+        scale = np.linalg.norm(grad, axis=-1)
 
-    def central(step):
-        return (hyperdet_with_gradient(amps + step)[0] - hyperdet_with_gradient(amps - step)[0]) / (
-            2.0 * h
-        )
+        def central(step):
+            ahead = roof.restricted_hyperdet(x + step, quartic)
+            return (ahead - roof.restricted_hyperdet(x - step, quartic)) / (2.0 * h)
 
-    for k in range(8):
-        step = np.zeros(8)
-        step[k] = h
-        # D is holomorphic: a step h in a_k moves it by h dD/da_k, a step ih by ih dD/da_k
-        assert np.max(np.abs(central(step) - grad[:, k]) / scale) <= 1e-7
-        assert np.max(np.abs(central(1j * step) - 1j * grad[:, k]) / scale) <= 1e-7
+        for k in range(r):
+            step = np.zeros(r)
+            step[k] = h
+            # D is holomorphic: a step h in x_k moves it by h dD/dx_k, a step ih by ih dD/dx_k
+            assert np.max(np.abs(central(step) - grad[:, k]) / scale) <= 1e-7
+            assert np.max(np.abs(central(1j * step) - 1j * grad[:, k]) / scale) <= 1e-7
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_gram_schmidt_retraction_equals_sign_fixed_qr(r):
+    rng = np.random.default_rng(72 + r)
+    for m in range(r, 9):
+        u = random_isometries(rng, 10, m, r)
+        d = roof._tangent(u, rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+        for alpha in (1e-8, 1e-4, 1.0, 1e2, 1e4):
+            mat = u + alpha * d
+            q, upper = np.linalg.qr(mat)
+            flip = np.diagonal(upper, axis1=-2, axis2=-1).real < 0.0
+            reference = np.where(flip[..., None, :], -q, q)
+            assert np.max(np.abs(roof._retract(mat) - reference)) <= 1e-13
 
 
 @pytest.mark.parametrize("p, n, m", [(0.85, 2.0, 5), (0.95, 3.0, 4), (0.4, 10.0, 6), (0.6, 2.5, 3)])
 def test_riemannian_gradient_matches_directional_derivative(p, n, m):
-    basis = search_basis(rho(p, (1.0 - p) / n))
-    r = basis.shape[0]
+    form = search_form(rho(p, (1.0 - p) / n))
+    r = form[1].size
     rng = np.random.default_rng(63)
     u = random_isometries(rng, 8, m, r)
-    grad = roof._riemannian_gradient(u, basis)
+    grad = roof._riemannian_gradient(u, *form)
     xi = roof._tangent(u, rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
     h = 1e-5
-    ahead = roof._average_tangle(roof._retract(u + h * xi), basis)
-    behind = roof._average_tangle(roof._retract(u - h * xi), basis)
+    ahead = roof._average_tangle(roof._retract(u + h * xi), *form)
+    behind = roof._average_tangle(roof._retract(u - h * xi), *form)
     slope = roof._inner(grad, xi)
     assert np.max(np.abs((ahead - behind) / (2.0 * h) - slope)) <= 1e-6
 
 
 def test_gradient_is_tangent_and_retractions_are_isometries():
-    basis = search_basis(rho(0.9, 0.05))
+    form = search_form(rho(0.9, 0.05))
     rng = np.random.default_rng(64)
     for m in (3, 5, 8):
         u = random_isometries(rng, 20, m, 3)
         eye = np.eye(3)
         assert np.max(np.abs(roof._adjoint(u) @ u - eye)) <= 1e-12
-        grad = roof._riemannian_gradient(u, basis)
+        grad = roof._riemannian_gradient(u, *form)
         uhg = roof._adjoint(u) @ grad
         assert np.max(np.abs(uhg + roof._adjoint(uhg))) <= 1e-12
         for alpha in (1e-8, 1e-3, 1.0, 30.0):
@@ -202,11 +295,13 @@ def test_restarts_are_independent():
 def test_telemetry(monkeypatch):
     rows = []
 
-    def counting(amps):
-        rows.append(np.shape(amps)[:-1])
-        return tangle_from_amps(amps)
+    kernel = roof.restricted_hyperdet
 
-    monkeypatch.setattr(roof, "tangle_from_amps", counting)
+    def counting(x, quartic):
+        rows.append(np.shape(x)[:-1])
+        return kernel(x, quartic)
+
+    monkeypatch.setattr(roof, "restricted_hyperdet", counting)
     m = 5
     result = min_avg_tangle(rho(0.88, 0.06), m=m, restarts=6, seed=13)
     # every row the search hands the kernel belongs to one restart's isometry
