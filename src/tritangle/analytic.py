@@ -14,11 +14,9 @@ import numpy as np
 from .errors import BadParamsError, NoRootError
 from .family import check_n, check_p, check_pq
 
-_SOLVER_XTOL = 1e-13
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 _ORDER_TOL = 1e-9
-_SCAN_INTERVALS = 2048
 
 
 class Region(Enum):
@@ -95,14 +93,20 @@ def alpha_I(p, n):
     return val
 
 
+def _dd_coeffs(n):
+    """bracket and c in alpha_I_dd = (2/(9n^2))(bracket - c (8p^2-4p-1)/sqrt(p^3 (1-p)))."""
+    bracket = 9.0 * n * n + 36.0 * n * math.sqrt(n - 1.0) - 12.0 * (n - 1.0)
+    c = math.sqrt(6.0 * n) * (1.0 + (n - 1.0) ** 1.5)
+    return bracket, c
+
+
 def alpha_I_dd(p, n):
     """Closed-form second derivative of alpha_I; singular at p in {0, 1}."""
     n = check_n(n)
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise BadParamsError("alpha_I_dd requires 0 < p < 1")
-    bracket = 9.0 * n * n + 36.0 * n * math.sqrt(n - 1.0) - 12.0 * (n - 1.0)
-    c = math.sqrt(6.0 * n) * (1.0 + (n - 1.0) ** 1.5)
+    bracket, c = _dd_coeffs(n)
     val = (2.0 / (9.0 * n * n)) * (
         bracket - c * (8.0 * p**2 - 4.0 * p - 1.0) / np.sqrt(p**3 * (1.0 - p))
     )
@@ -123,13 +127,7 @@ def alpha_II(p, n, p1):
     return val
 
 
-def _scan_values(f, xs):
-    fs = np.asarray(f(xs), dtype=float)
-    if fs.shape != xs.shape:
-        fs = np.array([f(x) for x in xs])
-    return fs
-
-
+# unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in analytic
 def brentq(f, a, b, xtol):
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
@@ -193,24 +191,22 @@ def brentq(f, a, b, xtol):
     raise NoRootError(f"{f.__name__!r}: no convergence after {_BRENT_MAXITER} iterations")
 
 
-def _bracket_root(f, lo, hi, intervals):
-    """Smallest sign-change root of f on [lo, hi].
+def _largest_quartic_root(a3, a2, a1, a0):
+    """Largest real root of the monic quartic u^4 + a3 u^3 + a2 u^2 + a1 u + a0.
 
-    f is scanned on intervals + 1 even points; the first interval with an
-    exact zero at an end or a sign change decides, the zero before brentq.
+    Newton's method starts at the Cauchy bound 1 + max|a_i|, above every root.
+    The callers' quartics are increasing and convex above their largest root,
+    so the iterates fall monotonically; the first step that does not lower u
+    ends the descent at the root to rounding.
     """
-    xs = np.linspace(lo, hi, intervals + 1)
-    fs = _scan_values(f, xs)
-    fa, fb = fs[:-1], fs[1:]
-    hits = np.flatnonzero((fa == 0.0) | (fb == 0.0) | (fa * fb < 0.0))
-    if hits.size == 0:
-        raise NoRootError(f"no sign change of {f.__name__!r} in [{lo}, {hi}]")
-    i = hits[0]
-    if fa[i] == 0.0:
-        return float(xs[i])
-    if fb[i] == 0.0:
-        return float(xs[i + 1])
-    return brentq(f, xs[i], xs[i + 1], _SOLVER_XTOL)
+    u = 1.0 + max(abs(a3), abs(a2), abs(a1), abs(a0))
+    while True:
+        g = (((u + a3) * u + a2) * u + a1) * u + a0
+        dg = ((4.0 * u + 3.0 * a3) * u + 2.0 * a2) * u + a1
+        step = u - g / dg
+        if not step < u:
+            return u
+        u = step
 
 
 def solve_p0(n):
@@ -218,21 +214,12 @@ def solve_p0(n):
 
     With u = sqrt(p/(1-p)), alpha_I = (1-p)^2 g(u) for the quartic
     g(u) = u^4 - c_lin u^2 - c_root u - c_quad, so p0 = u^2/(1+u^2) at the
-    largest root of g. Newton's method starts at the Cauchy bound
-    1 + max(c_lin, c_quad, c_root). Above the largest root g is increasing and
-    convex, so the iterates fall monotonically; the first step that does not
-    lower u ends the descent at the root to rounding.
+    largest root of g. All three coefficients are positive, so g has one
+    positive root (Descartes), and above it g is increasing and convex.
     """
     n = check_n(n)
     c_lin, c_quad, c_root = _coeffs(n)
-    u = 1.0 + max(c_lin, c_quad, c_root)
-    while True:
-        g = u * (u * (u * u - c_lin) - c_root) - c_quad
-        dg = u * (4.0 * u * u - 2.0 * c_lin) - c_root
-        step = u - g / dg
-        if not step < u:
-            break
-        u = step
+    u = _largest_quartic_root(0.0, -c_lin, -c_root, -c_quad)
     return u * u / (1.0 + u * u)
 
 
@@ -249,19 +236,20 @@ def solve_p1(n):
     return (1.0 + k / math.sqrt(4.0 + k * k)) / 2.0
 
 
-def _p_star_above(p0, n):
-    """Smallest zero of alpha_I_dd on [p0, 1 - 1e-6]."""
-
-    def f(p):
-        return alpha_I_dd(p, n)
-
-    return _bracket_root(f, p0, 1.0 - 1e-6, _SCAN_INTERVALS)
-
-
 def solve_p_star(n):
-    """Concavity onset: zero of the second derivative of alpha_I above p0."""
+    """Concavity onset: the zero of alpha_I_dd, above which alpha_I is concave.
+
+    With u = sqrt(p/(1-p)), 8p^2 - 4p - 1 = (3u^4 - 6u^2 - 1)/(1+u^2)^2 and
+    sqrt(p^3 (1-p)) = u^3/(1+u^2)^2, so alpha_I_dd = 0 reads
+    u^4 - b u^3 - 2u^2 - 1/3 = 0 with b = bracket/(3c). Its signs change once,
+    so it has one positive root (Descartes). The quartic is negative at b and
+    at sqrt(2), so the root lies above both, where the quartic is increasing
+    and convex; alpha_I_dd < 0 above it.
+    """
     n = check_n(n)
-    return _p_star_above(solve_p0(n), n)
+    bracket, c = _dd_coeffs(n)
+    u = _largest_quartic_root(-bracket / (3.0 * c), -2.0, 0.0, -1.0 / 3.0)
+    return u * u / (1.0 + u * u)
 
 
 def p_c(n):
@@ -276,10 +264,9 @@ def p_c(n):
 
 
 def thresholds(n):
-    """Solve all four boundary points for one n."""
+    """All four boundary points for one n, each solved on its own."""
     n = check_n(n)
-    p0 = solve_p0(n)
-    return Thresholds(n=n, p0=p0, p1=solve_p1(n), p_star=_p_star_above(p0, n), p_c=p_c(n))
+    return Thresholds(n=n, p0=solve_p0(n), p1=solve_p1(n), p_star=solve_p_star(n), p_c=p_c(n))
 
 
 def mixed_three_tangle(p, n, th=None):
@@ -334,12 +321,11 @@ class CkwAudit:
     min_margin: float
 
 
-def ckw_audit(n, grid_size, th=None):
+def ckw_audit(n, grid_size):
     n = check_n(n)
     if grid_size < 2:
         raise BadParamsError(f"grid_size must be >= 2, got {grid_size!r}")
-    if th is None:
-        th = thresholds(n)
+    th = thresholds(n)
     ps = np.linspace(0.0, 1.0, int(grid_size))
     one = np.array([one_tangle_min(p, (1.0 - p) / n) for p in ps])
     conc = np.array([concurrence_sum_sq(p, (1.0 - p) / n) for p in ps])

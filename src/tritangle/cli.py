@@ -19,7 +19,6 @@ from .errors import (
     BadDimensionError,
     BadParamsError,
     EmptyInputError,
-    NoRootError,
     NotIsometryError,
     OutOfSpanError,
     ZeroVectorError,
@@ -274,7 +273,6 @@ def main(argv=None):
         BadParamsError,
         BadDimensionError,
         ZeroVectorError,
-        NoRootError,
         NotIsometryError,
         EmptyInputError,
         OSError,

@@ -14,7 +14,7 @@ class BadParamsError(ValueError):
 
 
 class NoRootError(RuntimeError):
-    """Bracket scan found no sign change in the search interval."""
+    """brentq found no root: no sign change, a NaN, or no convergence."""
 
 
 class NotIsometryError(ValueError):

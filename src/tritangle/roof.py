@@ -65,10 +65,8 @@ def characteristic_curve(n, p_points=401, phi_points=64):
     down to 1e-8 in phase.
     """
     n = check_n(n)
-    if p_points < 2:
-        raise BadParamsError(f"p_points must be >= 2, got {p_points!r}")
-    if phi_points < 4:
-        raise BadParamsError(f"phi_points must be >= 4, got {phi_points!r}")
+    p_points = _check_count("p_points", p_points, 2)
+    phi_points = _check_count("phi_points", phi_points, 4)
     phis = np.linspace(0.0, _TWO_PI, phi_points, endpoint=False)
     f1_grid, f2_grid = np.meshgrid(phis, phis, indexing="ij")
     ps = np.linspace(0.0, 1.0, p_points)

@@ -116,7 +116,7 @@ def test_criterion_04_ckw_identity_pure_states():
 def test_criterion_05_ckw_inequality_mixtures():
     worst = math.inf
     for n in (1.0, 2.0, 10.0):
-        audit = ckw_audit(n, 1001, TH[n])
+        audit = ckw_audit(n, 1001)
         worst = min(worst, audit.min_margin)
     ok = worst >= -1e-9
     _report(5, "ckw-inequality-mixtures", ok, f"min margin {worst:.2e}")

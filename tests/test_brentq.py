@@ -169,15 +169,3 @@ def test_budget_runs_out(monkeypatch):
         scipy_brentq(step, 0.0, 1.0, xtol=1e-300, maxiter=40)
     with pytest.raises(NoRootError):
         brentq(step, 0.0, 1.0, 1e-300)
-
-
-def test_threshold_functions_match_scipy(monkeypatch):
-    # thresholds with scipy's brentq swapped into analytic are the reference
-    rng = np.random.default_rng(44)
-    ns = np.concatenate([[1.0, 2.0, 3.0, 2.00000001, 1e150], 10 ** rng.uniform(0, 150, 195)])
-    ours = [analytic.thresholds(float(n)) for n in ns]
-    monkeypatch.setattr(
-        analytic, "brentq", lambda f, a, b, xtol: scipy_brentq(f, a, b, xtol=xtol)
-    )
-    for n, th in zip(ns, ours):
-        assert th == analytic.thresholds(float(n))

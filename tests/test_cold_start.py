@@ -34,10 +34,17 @@ def test_import_loads_no_scipy():
 
 
 def test_tangle_command_loads_no_scipy():
-    proc = run_python("-X", "importtime", "-m", "tritangle.cli", "tangle", "--p", "0.8", "--n", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("region=ALPHA_I\nvalue=")
-    assert scipy_imports(proc.stderr) == []
+    # every command that solves thresholds, p_star included
+    commands = {
+        ("tangle", "--p", "0.8", "--n", "3"): "region=ALPHA_I\nvalue=",
+        ("table1",): "n=1\np0=",
+        ("ckw", "--n", "3", "--p-points", "11"): "p,one_tangle,conc_sq_sum,tau3,margin\n",
+    }
+    for command, head in commands.items():
+        proc = run_python("-X", "importtime", "-m", "tritangle.cli", *command)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(head)
+        assert scipy_imports(proc.stderr) == []
 
 
 def test_characteristic_curve_imports_scipy_on_first_use():

@@ -11,7 +11,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tritangle import alpha_I, mixed_three_tangle, solve_p0, solve_p1, thresholds
+from tritangle import (
+    alpha_I,
+    alpha_I_dd,
+    mixed_three_tangle,
+    solve_p0,
+    solve_p1,
+    solve_p_star,
+    thresholds,
+)
 from tritangle.analytic import _coeffs
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -83,3 +91,8 @@ def test_closed_form_p0_p1_solve_their_equations(log10_n):
         c_lin, c_quad, c_root = _coeffs(n)
         slope = (c_root / 2.0) * (2.0 * p1 - 1.0) / math.sqrt(p1 * (1.0 - p1))
         assert abs(slope - (1.0 + c_lin - c_quad)) <= 1e-13
+        # p* is the concavity onset: alpha_I_dd changes sign there and stays negative above
+        p_star = solve_p_star(n)
+        below, above = alpha_I_dd(np.array([p_star * (1.0 - 1e-12), p_star * (1.0 + 1e-12)]), n)
+        assert below > 0.0 > above
+        assert np.all(alpha_I_dd(np.linspace(p_star, 1.0 - 1e-6, 66)[1:-1], n) < 0.0)

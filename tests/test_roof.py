@@ -56,10 +56,12 @@ def test_characteristic_curve_bounded_by_symmetric_phases():
 def test_characteristic_curve_validation():
     with pytest.raises(BadParamsError):
         characteristic_curve(0.5)
-    with pytest.raises(BadParamsError):
-        characteristic_curve(2.0, p_points=1)
-    with pytest.raises(BadParamsError):
-        characteristic_curve(2.0, phi_points=3)
+    for bad in (1, 11.5, True):
+        with pytest.raises(BadParamsError, match="p_points"):
+            characteristic_curve(2.0, p_points=bad)
+    for bad in (3, 8.5, True):
+        with pytest.raises(BadParamsError, match="phi_points"):
+            characteristic_curve(2.0, phi_points=bad)
 
 
 def test_characteristic_curve_csv_round_trip():
