@@ -1,6 +1,7 @@
 """Qutrit Bloch geometry on span{GHZ, W, W~}: Gell-Mann coordinates, the five
 zero-tangle vertices, and the polyhedron membership test."""
 
+import functools
 import itertools
 import math
 
@@ -118,39 +119,64 @@ def vertex_states(n, p0):
     ]
 
 
+@functools.lru_cache(maxsize=16)
+def _padded_supports(m):
+    """Every nonempty support of m vertices, by size and then in
+    itertools.combinations order, as padded KKT templates.
+
+    Returns (pair, base, keep): pair (2^m - 1, m + 1, m + 1) marks the A^T A
+    entries a support keeps and base holds the rest, its ones border and the
+    identity block of the vertices outside it; keep (2^m - 1, m + 1, 1) marks
+    the right-hand side rows it keeps, its vertices and the last. All read-only.
+    """
+    sup = [s for k in range(1, m + 1) for s in itertools.combinations(range(m), k)]
+    on = np.zeros((len(sup), m + 1), dtype=bool)
+    for row, s in zip(on, sup):
+        row[list(s)] = True
+    pair = on[:, :, None] & on[:, None, :]
+    base = np.zeros(pair.shape)
+    base[:, :m, m] = base[:, m, :m] = on[:, :m]
+    base[:, np.arange(m), np.arange(m)] = ~on[:, :m]
+    keep = on[:, :, None].copy()
+    keep[:, m] = True
+    for x in (pair, base, keep):
+        x.setflags(write=False)
+    return pair, base, keep
+
+
 def _simplex_least_squares(a, b):
     """min |a w - b| over the probability simplex, exactly.
 
     For every support S, solve [A_S^T A_S, 1; 1^T, 0] [w; mu] = [A_S^T b; 1],
-    batched per support size, and clip and renormalise w onto the simplex. The
-    minimiser's support is among the candidates, so the best candidate is the
-    minimiser. Exactly singular systems are skipped: by Caratheodory an affinely
-    independent support reaches the same minimum.
+    and clip and renormalise w onto the simplex. The minimiser's support is
+    among the candidates, so the best candidate is the minimiser. Exactly
+    singular systems are skipped: by Caratheodory an affinely independent
+    support reaches the same minimum. Each system is padded to m + 1 rows, with
+    w_j = 0 for the vertices outside S, so one slogdet and one solve cover all
+    2^m - 1 supports; the padded systems take (2^m - 1)(m + 1)^2 floats.
     """
     m = a.shape[1]
+    pair, base, keep = _padded_supports(m)
     # a power-of-two scale is exact and keeps A^T A finite for any finite input
     e = np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
     a, b = np.ldexp(a, -e), np.ldexp(b, -e)
-    ata = a.T @ a
-    atb = a.T @ b
-    cands = []
-    for k in range(1, m + 1):
-        sup = np.array(list(itertools.combinations(range(m), k)))
-        kkt = np.ones((len(sup), k + 1, k + 1))
-        kkt[:, :k, :k] = ata[sup[:, :, None], sup[:, None, :]]
-        kkt[:, k, k] = 0.0
-        rhs = np.ones((len(sup), k + 1, 1))
-        rhs[:, :k, 0] = atb[sup]
-        regular = np.linalg.slogdet(kkt)[0] != 0.0
-        sup = sup[regular]
-        wts = np.maximum(np.linalg.solve(kkt[regular], rhs[regular])[:, :k, 0], 0.0)
-        cand = np.zeros((len(sup), m))
-        np.put_along_axis(cand, sup, wts / wts.sum(axis=1, keepdims=True), axis=1)
-        cands.append(cand)
-    cands = np.concatenate(cands)
+    ata = np.zeros((m + 1, m + 1))
+    ata[:m, :m] = a.T @ a
+    atb = np.ones((m + 1, 1))
+    atb[:m, 0] = a.T @ b
+    kkt = np.where(pair, ata, base)
+    rhs = np.where(keep, atb, 0.0)
+    regular = np.linalg.slogdet(kkt)[0] != 0.0
+    wts = np.maximum(np.linalg.solve(kkt[regular], rhs[regular])[:, :m, 0], 0.0)
+    cands = wts / wts.sum(axis=1, keepdims=True)
     residuals = np.linalg.norm(cands @ a.T - b, axis=1)
     # argmin would pick the first NaN; a non-finite residual must never win
     return cands[np.argmin(np.where(np.isfinite(residuals), residuals, np.inf))]
+
+
+def hull_residual(v, vertices, weights):
+    """|sum w_i v_i - v|, the distance from v to the weighted vertex mix."""
+    return float(np.linalg.norm(np.asarray(vertices, dtype=float).T @ weights - v))
 
 
 def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
@@ -167,7 +193,5 @@ def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
         raise EmptyInputError("need at least one vertex")
     if not (np.isfinite(v).all() and np.isfinite(vertices).all()):
         raise BadParamsError("v and the vertices must be finite")
-    a = vertices.T
-    weights = _simplex_least_squares(a, v)
-    residual = float(np.linalg.norm(a @ weights - v))
-    return residual <= tol, weights
+    weights = _simplex_least_squares(vertices.T, v)
+    return hull_residual(v, vertices, weights) <= tol, weights

@@ -14,7 +14,13 @@ from .analytic import (
     solve_p0,
     thresholds,
 )
-from .bloch import bloch_vector, in_zero_polyhedron, qutrit_project, zero_tangle_vertices
+from .bloch import (
+    bloch_vector,
+    hull_residual,
+    in_zero_polyhedron,
+    qutrit_project,
+    zero_tangle_vertices,
+)
 from .errors import (
     BadDimensionError,
     BadParamsError,
@@ -140,7 +146,7 @@ def cmd_vanishing(args):
     p0 = solve_p0(n)
     vertices = zero_tangle_vertices(n, p0)
     inside, weights = in_zero_polyhedron(vec, vertices, tol=args.tol)
-    residual = float(np.linalg.norm(vertices.T @ weights - vec))
+    residual = hull_residual(vec, vertices, weights)
     lines = []
     if not _is_integer(n):
         lines.append("n_unvalidated=true")

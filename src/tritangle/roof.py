@@ -177,8 +177,9 @@ class DecompositionSearchResult:
     restart with the least value, and best_ensemble is that restart's ensemble.
     converged says whether the best restart stopped on its stop test before the
     iteration cap; restart_values and restart_nfev (the isometries each restart
-    evaluated) are in restart order; restarts_agreeing counts the restarts whose
-    final value lies within 1e-9 of the best.
+    evaluated, every trial of a line-search round included, also those past the
+    step it took) are in restart order; restarts_agreeing counts the restarts
+    whose final value lies within 1e-9 of the best.
     """
 
     upper_bound: float
@@ -366,12 +367,14 @@ def _lbfgs_lockstep(u, quartic, lam):
     1/<s, y> and the initial inverse-Hessian scale <s, y>/<y, y> are finite;
     that scale comes from the newest stored pair. A direction that is not a
     descent direction is replaced by steepest descent. Each step is an Armijo
-    backtracking search from a trial step of 1; the trial points of every
-    restart still searching go in one objective call. A restart stops when no
-    step shows a decrease above the rounding of its value, or when an accepted
-    step lowers it by no more than that rounding, and in any case after the
-    iteration cap; gradients are computed only for restarts that go on. Every
-    restart's arithmetic is its own, so it ends as it would alone.
+    backtracking search from a trial step of 1; each round tries the next
+    _HALVINGS.size halvings at once and takes the first that passes, and the
+    trial points of every restart still searching go in one objective call. A
+    restart stops when no step shows a decrease above the rounding of its
+    value, or when an accepted step lowers it by no more than that rounding,
+    and in any case after the iteration cap; gradients are computed only for
+    restarts that go on. Every restart's arithmetic is its own, so it ends as
+    it would alone.
     Returns (u, values, nfev, converged) in restart order.
     """
     n_restarts, m, r = u.shape
@@ -394,15 +397,14 @@ def _lbfgs_lockstep(u, quartic, lam):
         accepted = np.zeros(rows.size, dtype=bool)
         stalled = np.zeros(rows.size, dtype=bool)
         trying = np.flatnonzero(-slope > floor)
-        levels = 1  # the first round tries the unit step alone
         while trying.size:
-            # the next `levels` halvings of each pending step, tried at once; the
-            # first one that passes is the one a halving loop would have taken
-            a = alpha[trying, None] * _HALVINGS[:levels]
+            # the next halvings of each pending step, tried at once; the first
+            # one that passes is the one a halving loop would have taken
+            a = alpha[trying, None] * _HALVINGS
             slopes = a * slope[trying, None]
             trial = _retract(u[trying, None] + a[..., None, None] * d[trying, None])
             f_trial = _average_tangle(trial, quartic, lam)
-            nfev[rows[trying]] += levels
+            nfev[rows[trying]] += _HALVINGS.size
             ok = (f_trial <= f[trying, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
@@ -411,9 +413,8 @@ def _lbfgs_lockstep(u, quartic, lam):
             stalled[won] = f[won] - f_trial[hit, first] <= floor[won]
             u[won], f[won], step[won] = trial[hit, first], f_trial[hit, first], a[hit, first]
             trying = trying[~hit]
-            alpha[trying] *= 0.5**levels
+            alpha[trying] *= 0.5**_HALVINGS.size
             trying = trying[-alpha[trying] * slope[trying] > floor[trying]]
-            levels = _HALVINGS.size
         u_end[rows], f_end[rows] = u, f
 
         going = accepted & ~stalled

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,8 @@ from tritangle import (
     w_tilde,
     zero_tangle_vertices,
 )
+from tritangle import bloch
+from tritangle.bloch import hull_residual
 
 
 def random_qutrit(rng):
@@ -336,3 +340,92 @@ def test_membership_recovers_convex_weights(n, seed):
     inside, weights = in_zero_polyhedron(verts.T @ w_true, verts)
     assert inside
     assert np.max(np.abs(weights - w_true)) <= 1e-12
+
+
+def per_size_simplex_least_squares(a, b):
+    """Reference solver: the same supports, candidates and tie order as
+    bloch._simplex_least_squares, with one unpadded KKT batch per support size."""
+    m = a.shape[1]
+    e = np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    ata = a.T @ a
+    atb = a.T @ b
+    cands = []
+    for k in range(1, m + 1):
+        sup = np.array(list(itertools.combinations(range(m), k)))
+        kkt = np.ones((len(sup), k + 1, k + 1))
+        kkt[:, :k, :k] = ata[sup[:, :, None], sup[:, None, :]]
+        kkt[:, k, k] = 0.0
+        rhs = np.ones((len(sup), k + 1, 1))
+        rhs[:, :k, 0] = atb[sup]
+        regular = np.linalg.slogdet(kkt)[0] != 0.0
+        sup = sup[regular]
+        wts = np.maximum(np.linalg.solve(kkt[regular], rhs[regular])[:, :k, 0], 0.0)
+        cand = np.zeros((len(sup), m))
+        np.put_along_axis(cand, sup, wts / wts.sum(axis=1, keepdims=True), axis=1)
+        cands.append(cand)
+    cands = np.concatenate(cands)
+    residuals = np.linalg.norm(cands @ a.T - b, axis=1)
+    return cands[np.argmin(np.where(np.isfinite(residuals), residuals, np.inf))]
+
+
+def _random_vertex_inputs():
+    """(v, vertices) pairs for m = 1..7 random vertices, plus repeated and
+    all-zero vertex sets: random targets, convex mixes and the vertices."""
+    rng = np.random.default_rng(63)
+    for m in range(1, 8):
+        for _ in range(3):
+            verts = rng.standard_normal((m, 8))
+            repeated = verts[rng.integers(m, size=m + 2)]
+            for vs in (verts, repeated, np.zeros((m, 8))):
+                for v in rng.standard_normal((4, 8)):
+                    yield v, vs
+                yield vs.T @ rng.dirichlet(np.ones(len(vs))), vs
+                yield vs[-1], vs
+
+
+def fold_repeated(vertices, weights):
+    """Weights summed over equal vertices, one entry per distinct vertex: the
+    share of a vertex among its copies is not unique, their sum is."""
+    _, index = np.unique(vertices, axis=0, return_inverse=True)
+    return np.bincount(index.ravel(), weights)
+
+
+def test_padded_solver_matches_per_size_reference():
+    count = 0
+    inputs = itertools.chain(_membership_inputs(), _random_vertex_inputs())
+    for v, verts in inputs:
+        inside, weights = in_zero_polyhedron(v, verts)
+        want = per_size_simplex_least_squares(verts.T, v)
+        want_res = hull_residual(v, verts, want)
+        assert inside == (want_res <= 1e-8)
+        assert abs(hull_residual(v, verts, weights) - want_res) <= 1e-15
+        assert np.max(np.abs(fold_repeated(verts, weights - want))) <= 1e-15
+        if not verts.any():
+            # every support ties there, and the first one wins
+            assert np.array_equal(weights, want)
+        # scaling by 2^k is exact, so both solvers solve the same problem again
+        for k in (520, -520):
+            got = bloch._simplex_least_squares(np.ldexp(verts.T, k), np.ldexp(v, k))
+            assert np.array_equal(got, weights)
+            assert np.array_equal(
+                per_size_simplex_least_squares(np.ldexp(verts.T, k), np.ldexp(v, k)), want
+            )
+        count += 1
+    assert count == 8 * (21 + 24 + 10 + 5) + 7 * 3 * 3 * 6
+
+
+@pytest.mark.parametrize("m", [1, 5, 7])
+def test_membership_makes_one_slogdet_and_one_solve(monkeypatch, m):
+    calls = {"slogdet": 0, "solve": 0}
+    for name in calls:
+        inner = getattr(np.linalg, name)
+
+        def counting(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = np.random.default_rng(64)
+    in_zero_polyhedron(rng.standard_normal(8), rng.standard_normal((m, 8)))
+    assert calls == {"slogdet": 1, "solve": 1}

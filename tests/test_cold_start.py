@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tritangle import characteristic_curve
+from tritangle import characteristic_curve, rho, save_density_matrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -33,12 +33,15 @@ def test_import_loads_no_scipy():
     assert scipy_imports(proc.stderr) == []
 
 
-def test_tangle_command_loads_no_scipy():
+def test_tangle_command_loads_no_scipy(tmp_path):
     # every command that solves thresholds, p_star included
+    state = str(tmp_path / "state.txt")
+    save_density_matrix(rho(0.3, 0.35), state)
     commands = {
         ("tangle", "--p", "0.8", "--n", "3"): "region=ALPHA_I\nvalue=",
         ("table1",): "n=1\np0=",
         ("ckw", "--n", "3", "--p-points", "11"): "p,one_tangle,conc_sq_sum,tau3,margin\n",
+        ("vanishing", "--in", state, "--n", "2"): "p0=0.75\nvanishing=true\n",
     }
     for command, head in commands.items():
         proc = run_python("-X", "importtime", "-m", "tritangle.cli", *command)

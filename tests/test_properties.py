@@ -14,11 +14,16 @@ from hypothesis import strategies as st
 from tritangle import (
     alpha_I,
     alpha_I_dd,
+    density_from_ensemble,
+    ensemble_average_tangle,
     mixed_three_tangle,
+    optimal_decomposition,
+    rho,
     solve_p0,
     solve_p1,
     solve_p_star,
     thresholds,
+    trace_distance,
 )
 from tritangle.analytic import _coeffs
 
@@ -96,3 +101,16 @@ def test_closed_form_p0_p1_solve_their_equations(log10_n):
         below, above = alpha_I_dd(np.array([p_star * (1.0 - 1e-12), p_star * (1.0 + 1e-12)]), n)
         assert below > 0.0 > above
         assert np.all(alpha_I_dd(np.linspace(p_star, 1.0 - 1e-6, 66)[1:-1], n) < 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(min_value=1.0, max_value=1e3), P_VALUES)
+@example(1.0, 0.0)
+@example(2.0, 0.75)
+@example(3.0, 1.0)
+@example(1e3, 0.5)
+def test_optimal_decomposition_rebuilds_rho_at_the_closed_form(n, p):
+    th = thresholds(n)
+    ens = optimal_decomposition(p, n, th)
+    assert trace_distance(density_from_ensemble(ens), rho(p, (1.0 - p) / n)) <= 1e-12
+    assert abs(ensemble_average_tangle(ens) - mixed_three_tangle(p, n, th).value) <= 1e-9
