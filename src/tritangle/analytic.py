@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParamsError, NoRootError
-from .family import check_n, check_p, check_pq
+from .family import check_count, check_n, check_p, check_pq
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -46,18 +46,6 @@ class Thresholds:
             raise BadParamsError(
                 f"threshold ordering 0 < p_c < p0 <= p1 <= p_star < 1 violated: {self}"
             )
-
-    def record(self):
-        """Flat key=value lines at full double precision."""
-        return "\n".join(
-            [
-                f"n={self.n:.17g}",
-                f"p0={self.p0:.17g}",
-                f"p1={self.p1:.17g}",
-                f"p_star={self.p_star:.17g}",
-                f"p_c={self.p_c:.17g}",
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -302,8 +290,10 @@ def concurrence_sum_sq(p, q):
     check_pq(p, q)
     p = max(float(p), 0.0)
     q = max(float(q), 0.0)
+    r = max(1.0 - p - q, 0.0)
+    # 3p + 2r equals 2 + p - 2q, which cancels as r -> 0 and drops a small p
     c = (2.0 / 3.0) * (1.0 - p) - (1.0 / 3.0) * math.sqrt(
-        (3.0 * p + 2.0 * q) * (2.0 + p - 2.0 * q)
+        (3.0 * p + 2.0 * q) * (3.0 * p + 2.0 * r)
     )
     return 2.0 * max(0.0, c) ** 2
 
@@ -323,10 +313,9 @@ class CkwAudit:
 
 def ckw_audit(n, grid_size):
     n = check_n(n)
-    if grid_size < 2:
-        raise BadParamsError(f"grid_size must be >= 2, got {grid_size!r}")
+    grid_size = check_count("grid_size", grid_size, 2)
     th = thresholds(n)
-    ps = np.linspace(0.0, 1.0, int(grid_size))
+    ps = np.linspace(0.0, 1.0, grid_size)
     one = np.array([one_tangle_min(p, (1.0 - p) / n) for p in ps])
     conc = np.array([concurrence_sum_sq(p, (1.0 - p) / n) for p in ps])
     tau = np.array([mixed_three_tangle(p, n, th).value for p in ps])

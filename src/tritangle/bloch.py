@@ -176,7 +176,10 @@ def _simplex_least_squares(a, b):
 
 def hull_residual(v, vertices, weights):
     """|sum w_i v_i - v|, the distance from v to the weighted vertex mix."""
-    return float(np.linalg.norm(np.asarray(vertices, dtype=float).T @ weights - v))
+    d = np.asarray(vertices, dtype=float).T @ weights - v
+    # scaling by a power of two is exact and keeps the squares of d finite and normal
+    e = np.frexp(np.abs(d).max())[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
 
 
 def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):

@@ -5,6 +5,8 @@ decomposition-search oracle."""
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from enum import Enum
 
 import numpy as np
 
@@ -21,14 +23,7 @@ from .bloch import (
     qutrit_project,
     zero_tangle_vertices,
 )
-from .errors import (
-    BadDimensionError,
-    BadParamsError,
-    EmptyInputError,
-    NotIsometryError,
-    OutOfSpanError,
-    ZeroVectorError,
-)
+from .errors import BadDimensionError, OutOfSpanError
 from .family import optimal_decomposition, rho
 from .measures import ensemble_average_tangle
 from .roof import characteristic_curve, lower_convex_envelope, min_avg_tangle, rank_of
@@ -44,33 +39,39 @@ _MARGIN_FLOOR = -1e-9
 
 
 def _fmt(x):
+    """Every printed value: floats at 17 significant digits, so they read back
+    exactly; bools as true/false; enums by value; arrays space-separated."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, (str, int)):
+        return str(x)
+    if isinstance(x, np.ndarray):
+        return " ".join(map(_fmt, x))
     return f"{float(x):.17g}"
 
 
-def _emit(text, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+def _render(out, as_json):
+    """The text of a command's output: CSV for a dict of equal-length columns,
+    headed by their names; for a list of records (dicts), key=value lines with
+    a blank line between records, or a JSON array with as_json."""
+    if as_json:
+        return json.dumps(out, indent=2) + "\n"
+    if isinstance(out, dict):
+        rows = (",".join(map(_fmt, row)) for row in zip(*out.values()))
+        return "\n".join([",".join(out), *rows]) + "\n"
+    blocks = ("\n".join(f"{key}={_fmt(value)}" for key, value in rec.items()) for rec in out)
+    return "\n\n".join(blocks) + "\n"
 
 
-def _is_integer(n):
-    return abs(n - round(n)) <= 1e-9
+def _n_flag(n):
+    """The n_unvalidated=true line for a non-integer n, or nothing."""
+    return {} if abs(n - round(n)) <= 1e-9 else {"n_unvalidated": True}
 
 
 def cmd_table1(args):
-    records = [thresholds(n) for n in args.n_list]
-    if args.json:
-        payload = [
-            {"n": th.n, "p0": th.p0, "p1": th.p1, "p_star": th.p_star, "p_c": th.p_c}
-            for th in records
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return EXIT_OK
-    blocks = [th.record() for th in records]
-    _emit("\n\n".join(blocks) + "\n", args.output)
-    return EXIT_OK
+    return [asdict(thresholds(n)) for n in args.n_list], EXIT_OK
 
 
 def cmd_curves(args):
@@ -78,38 +79,24 @@ def cmd_curves(args):
     curve = characteristic_curve(n, p_points=args.p_points, phi_points=args.phi_points)
     env = lower_convex_envelope(np.column_stack([curve.p, curve.tau_min]))
     th = thresholds(n)
-    lines = ["p,tau_min,tau_analytic,envelope"]
-    env_vals = env(curve.p)
-    for p, tmin, e in zip(curve.p, curve.tau_min, env_vals):
-        ana = mixed_three_tangle(p, n, th).value
-        lines.append(f"{p:.17g},{tmin:.17g},{ana:.17g},{e:.17g}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    columns = {"p": curve.p, "tau_min": curve.tau_min}
+    columns["tau_analytic"] = [mixed_three_tangle(p, n, th).value for p in curve.p]
+    columns["envelope"] = env(curve.p)
+    return columns, EXIT_OK
 
 
 def cmd_ckw(args):
     audit = ckw_audit(args.n, args.p_points)
-    lines = ["p,one_tangle,conc_sq_sum,tau3,margin"]
-    for p, one, conc, tau, margin in zip(
-        audit.p, audit.one_tangle, audit.conc_sq_sum, audit.tau3, audit.margin
-    ):
-        lines.append(f"{p:.17g},{one:.17g},{conc:.17g},{tau:.17g},{margin:.17g}")
-    _emit("\n".join(lines) + "\n", args.output)
+    columns = {k: getattr(audit, k) for k in ("p", "one_tangle", "conc_sq_sum", "tau3", "margin")}
     if audit.min_margin < _MARGIN_FLOOR:
         print(f"error: inequality violated, min margin {audit.min_margin:.3e}", file=sys.stderr)
-        return EXIT_INEQUALITY
-    return EXIT_OK
+        return columns, EXIT_INEQUALITY
+    return columns, EXIT_OK
 
 
 def cmd_tangle(args):
     result = mixed_three_tangle(args.p, args.n)
-    lines = []
-    if not _is_integer(args.n):
-        lines.append("n_unvalidated=true")
-    lines.append(f"region={result.region.value}")
-    lines.append(f"value={_fmt(result.value)}")
-    print("\n".join(lines))
-    return EXIT_OK
+    return [{**_n_flag(args.n), "region": result.region, "value": result.value}], EXIT_OK
 
 
 def cmd_decompose(args):
@@ -120,20 +107,13 @@ def cmd_decompose(args):
     err = trace_distance(density_from_ensemble(ens), target)
     avg = ensemble_average_tangle(ens)
     analytic = mixed_three_tangle(args.p, n, th)
-    lines = []
-    if not _is_integer(n):
-        lines.append("n_unvalidated=true")
-    lines.append(f"members={len(ens)}")
+    rec = {**_n_flag(n), "members": len(ens)}
     for j, (wt, s) in enumerate(ens):
-        lines.append(f"weight_{j}={_fmt(wt)}")
-        amps = " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in s.amps)
-        lines.append(f"state_{j}={amps}")
-    lines.append(f"average_tangle={_fmt(avg)}")
-    lines.append(f"analytic={_fmt(analytic.value)}")
-    lines.append(f"region={analytic.region.value}")
-    lines.append(f"reconstruction_error={_fmt(err)}")
-    print("\n".join(lines))
-    return EXIT_OK
+        rec[f"weight_{j}"] = wt
+        rec[f"state_{j}"] = s.amps.view(float)  # real, imaginary, real, ...
+    rec.update(average_tangle=avg, analytic=analytic.value, region=analytic.region)
+    rec["reconstruction_error"] = err
+    return [rec], EXIT_OK
 
 
 def cmd_vanishing(args):
@@ -146,18 +126,15 @@ def cmd_vanishing(args):
     p0 = solve_p0(n)
     vertices = zero_tangle_vertices(n, p0)
     inside, weights = in_zero_polyhedron(vec, vertices, tol=args.tol)
-    residual = hull_residual(vec, vertices, weights)
-    lines = []
-    if not _is_integer(n):
-        lines.append("n_unvalidated=true")
-    lines.append(f"p0={_fmt(p0)}")
-    lines.append(f"vanishing={'true' if inside else 'false'}")
-    lines.append(f"residual={_fmt(residual)}")
-    lines.append("vertex_order=W,W_TILDE,Z_00,Z_12,Z_21")
-    for j, wt in enumerate(weights):
-        lines.append(f"weight_{j}={_fmt(wt)}")
-    print("\n".join(lines))
-    return EXIT_OK
+    rec = {
+        **_n_flag(n),
+        "p0": p0,
+        "vanishing": inside,
+        "residual": hull_residual(vec, vertices, weights),
+        "vertex_order": "W,W_TILDE,Z_00,Z_12,Z_21",
+    }
+    rec.update((f"weight_{j}", wt) for j, wt in enumerate(weights))
+    return [rec], EXIT_OK
 
 
 def cmd_oracle(args):
@@ -167,28 +144,21 @@ def cmd_oracle(args):
     r = rank_of(rho_in)
     m = args.m if args.m is not None else min(r + 2, 8)
     result = min_avg_tangle(rho_in, m, restarts=args.restarts, seed=args.seed)
-    lines = [
-        f"rank={r}",
-        f"m={m}",
-        f"restarts_used={result.restarts_used}",
-        f"converged={'true' if result.converged else 'false'}",
-        f"upper_bound={_fmt(result.upper_bound)}",
-    ]
+    rec = {
+        "rank": r,
+        "m": m,
+        "restarts_used": result.restarts_used,
+        "converged": result.converged,
+        "upper_bound": result.upper_bound,
+        "family": False,
+    }
     family_info = _family_parameters(rho_in)
     if family_info is not None:
         p, n_eff = family_info
         analytic = mixed_three_tangle(p, n_eff)
-        lines.append("family=true")
-        lines.append(f"p={_fmt(p)}")
-        lines.append(f"n_eff={_fmt(n_eff)}")
-        if not _is_integer(n_eff):
-            lines.append("n_unvalidated=true")
-        lines.append(f"analytic={_fmt(analytic.value)}")
-        lines.append(f"gap={_fmt(result.upper_bound - analytic.value)}")
-    else:
-        lines.append("family=false")
-    print("\n".join(lines))
-    return EXIT_OK
+        rec.update(family=True, p=p, n_eff=n_eff, **_n_flag(n_eff))
+        rec.update(analytic=analytic.value, gap=result.upper_bound - analytic.value)
+    return [rec], EXIT_OK
 
 
 def _family_parameters(rho_in):
@@ -271,19 +241,19 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        out, code = args.func(args)
+        text = _render(out, getattr(args, "json", False))
+        path = getattr(args, "output", None)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+        return code
     except OutOfSpanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUT_OF_SPAN
-    except (
-        BadParamsError,
-        BadDimensionError,
-        ZeroVectorError,
-        NotIsometryError,
-        EmptyInputError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every other package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,6 +3,7 @@ mixture rho(p,q), its symmetric ensemble, region-wise optimal decompositions,
 and the pi(p,n) side family."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,6 +69,18 @@ def check_p(p):
     if not -PARAM_TOL <= p <= 1.0 + PARAM_TOL:
         raise BadParamsError(f"p must lie in [0, 1], got {p!r}")
     return min(max(float(p), 0.0), 1.0)
+
+
+def check_count(name, value, lo, hi=None):
+    """value as an int in [lo, hi]; numpy integers pass, bools and non-integers
+    do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParamsError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise BadParamsError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+    if value < lo:
+        raise BadParamsError(f"{name} must be >= {lo}, got {value!r}")
+    return int(value)
 
 
 def check_pq(p, q):

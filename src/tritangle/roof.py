@@ -5,13 +5,12 @@ three-tangle."""
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
-from .family import check_n, z_tangle_closed
+from .family import check_count, check_n, z_tangle_closed
 from .measures import _hyperdet
 # unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in roof
 from .measures import tangle_from_amps  # noqa: F401
@@ -43,12 +42,6 @@ class CharCurve:
     phi1: np.ndarray
     phi2: np.ndarray
 
-    def to_csv(self):
-        lines = ["p,tau_min,phi1_argmin,phi2_argmin"]
-        for pv, tv, f1, f2 in zip(self.p, self.tau_min, self.phi1, self.phi2):
-            lines.append(f"{pv:.17g},{tv:.17g},{f1:.17g},{f2:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported on first use: characteristic_curve is
@@ -65,8 +58,8 @@ def characteristic_curve(n, p_points=401, phi_points=64):
     down to 1e-8 in phase.
     """
     n = check_n(n)
-    p_points = _check_count("p_points", p_points, 2)
-    phi_points = _check_count("phi_points", phi_points, 4)
+    p_points = check_count("p_points", p_points, 2)
+    phi_points = check_count("phi_points", phi_points, 4)
     phis = np.linspace(0.0, _TWO_PI, phi_points, endpoint=False)
     f1_grid, f2_grid = np.meshgrid(phis, phis, indexing="ij")
     ps = np.linspace(0.0, 1.0, p_points)
@@ -445,18 +438,6 @@ def _lbfgs_lockstep(u, quartic, lam):
     return u_end, f_end, nfev, converged
 
 
-def _check_count(name, value, lo, hi=None):
-    """value as an int in [lo, hi]; numpy integers pass, bools and non-integers
-    do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise BadParamsError(f"{name} must be an integer, got {value!r}")
-    if hi is not None and not lo <= value <= hi:
-        raise BadParamsError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
-    if value < lo:
-        raise BadParamsError(f"{name} must be >= {lo}, got {value!r}")
-    return int(value)
-
-
 def min_avg_tangle(rho, m, restarts=20, seed=0):
     """Upper-bound the convex-roof tangle by searching the mixing isometry.
 
@@ -473,9 +454,9 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     r = rank_of(rho)
     if r > 4:
         raise BadParamsError(f"rank {r} exceeds the supported maximum 4")
-    m = _check_count("m", m, r, 8)
-    restarts = _check_count("restarts", restarts, 1)
-    seed = _check_count("seed", seed, 0)
+    m = check_count("m", m, r, 8)
+    restarts = check_count("restarts", restarts, 1)
+    seed = check_count("seed", seed, 0)
     vals, vecs = eigh_desc(rho.mat)
     lam = np.maximum(vals[:r], 0.0)
     basis = (vecs[:, :r] * np.sqrt(lam)).T  # r x 8

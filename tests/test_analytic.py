@@ -87,17 +87,6 @@ def test_threshold_ordering():
         assert 0.0 < th.p_c < th.p0 < th.p1 < th.p_star < 1.0
 
 
-def test_thresholds_record_format():
-    text = TH[2.0].record()
-    lines = text.split("\n")
-    assert len(lines) == 5
-    got = dict(line.split("=") for line in lines)
-    assert set(got) == {"n", "p0", "p1", "p_star", "p_c"}
-    assert float(got["n"]) == 2.0
-    assert float(got["p0"]) == TH[2.0].p0  # 17 significant digits round-trip
-
-
-
 def test_thresholds_solve_p0_once(monkeypatch):
     # thresholds hands its p0 to the p* bracket; the table equals the
     # one-threshold solvers bit for bit
@@ -375,8 +364,9 @@ def test_ckw_audit_margins():
 
 
 def test_ckw_audit_validation():
-    with pytest.raises(BadParamsError):
-        ckw_audit(2.0, 1)
+    for bad in (1, 10.5, True, float("nan")):
+        with pytest.raises(BadParamsError, match="grid_size"):
+            ckw_audit(2.0, bad)
 
 
 # n grid of the 50-digit threshold reference: the table rows and the edges

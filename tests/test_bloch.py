@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -318,12 +319,16 @@ def test_membership_weights_do_not_depend_on_scale():
     verts = zero_tangle_vertices(3.0, solve_p0(3.0))
     rng = np.random.default_rng(62)
     inner, outer = verts.T @ rng.dirichlet(np.ones(5)), rng.standard_normal(8)
-    # the residual norm of an outside point overflows by itself at large scales
-    for v, scales in ((inner, (2.0**520, 1e160, 2.0**-600, 1e-160)), (outer, (2.0**-600, 1e-160))):
+    small = (2.0**-600, 1e-160)
+    for v, scales in ((inner, (2.0**520, 1e160, *small)), (outer, (2.0**520, *small))):
         _, want = in_zero_polyhedron(v, verts)
         for s in scales:
-            _, got = in_zero_polyhedron(s * v, s * verts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, got = in_zero_polyhedron(s * v, s * verts)
+                residual = hull_residual(s * v, s * verts, got)
             assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.isfinite(residual)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

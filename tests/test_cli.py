@@ -10,6 +10,7 @@ from tritangle import (
     DensityMatrix,
     Ensemble,
     alpha_I,
+    characteristic_curve,
     density_from_ensemble,
     ghz,
     pi_state,
@@ -54,6 +55,9 @@ def test_table1_default(capsys):
         assert abs(float(kv["p0"]) - p0) <= 5e-4
         assert abs(float(kv["p1"]) - p1) <= 5e-4
         assert abs(float(kv["p_star"]) - ps) <= 5e-4
+        th = thresholds(n)
+        got = [float(kv[k]) for k in ("p0", "p1", "p_star", "p_c")]
+        assert got == [th.p0, th.p1, th.p_star, th.p_c]  # 17 significant digits round-trip
 
 
 def test_table1_json(capsys):
@@ -224,6 +228,9 @@ def test_curves_small(capsys):
     assert abs(data[-1, 1] - 1.0) <= 1e-12
     assert abs(data[-1, 2] - 1.0) <= 1e-12
     assert np.all(data[:, 3] <= data[:, 1] + 1e-12)  # envelope below the curve
+    curve = characteristic_curve(2.0, p_points=41, phi_points=16)
+    assert np.array_equal(data[:, 0], curve.p)  # exact round trip
+    assert np.array_equal(data[:, 1], curve.tau_min)
 
 
 def test_curves_reproducible(capsys, tmp_path):

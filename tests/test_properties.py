@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from tritangle import (
     alpha_I,
     alpha_I_dd,
+    concurrence_sum_sq,
     density_from_ensemble,
     ensemble_average_tangle,
     mixed_three_tangle,
+    one_tangle_min,
     optimal_decomposition,
     rho,
     solve_p0,
@@ -69,10 +71,29 @@ def test_w_flipped_w_duality(n, p):
     dual = n / (n - 1.0)
     th, th_dual = thresholds(n), thresholds(dual)
     for a, b in zip(as_tuple(th), as_tuple(th_dual)):
-        assert abs(a - b) <= 1e-12
+        assert abs(a - b) <= 1e-13
     got = mixed_three_tangle(p, n, th)
     want = mixed_three_tangle(p, dual, th_dual)
-    assert abs(got.value - want.value) <= 1e-12
+    assert abs(got.value - want.value) <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**52), st.integers(0, 2**52))
+@example(0, 0)
+@example(0, 1)
+@example(1, 1)
+@example(0, 2**51)
+@example(2**52, 2**52)
+@example(2**50, 2**52 - 1)
+def test_w_flipped_w_swap_keeps_one_and_two_tangles(a, b):
+    # at fixed p, swapping W and W~ exchanges the weights q and 1 - p - q. On
+    # multiples of 2^-52 the complement is exact; a rounded one would move q by
+    # an ulp where both closed forms have infinite slope, at q -> 0 and r -> 0
+    lo, hi = sorted((a, b))
+    p, q = math.ldexp(lo, -52), math.ldexp(hi - lo, -52)
+    swapped = 1.0 - p - q
+    assert abs(one_tangle_min(p, q) - one_tangle_min(p, swapped)) <= 1e-13
+    assert abs(concurrence_sum_sq(p, q) - concurrence_sum_sq(p, swapped)) <= 1e-13
 
 
 @PROPERTY_SETTINGS

@@ -64,17 +64,6 @@ def test_characteristic_curve_validation():
             characteristic_curve(2.0, phi_points=bad)
 
 
-def test_characteristic_curve_csv_round_trip():
-    curve = characteristic_curve(1.0, p_points=11, phi_points=8)
-    text = curve.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,tau_min,phi1_argmin,phi2_argmin"
-    data = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
-    assert data.shape == (11, 4)
-    assert np.max(np.abs(data[:, 0] - curve.p)) == 0.0
-    assert np.max(np.abs(data[:, 1] - curve.tau_min)) == 0.0
-
-
 def test_envelope_of_convex_samples_is_identity():
     x = np.linspace(0.0, 1.0, 21)
     y = (x - 0.3) ** 2
