@@ -62,13 +62,20 @@ def _coeffs(n):
     return c_lin, c_quad, c_root
 
 
+def _check_p_array(p):
+    """p as a float array in [0, 1]; values within 1e-12 outside are clipped."""
+    p = np.asarray(p, dtype=float)
+    # the array methods and ufuncs, not np.all and np.clip, which add a few
+    # microseconds of Python per call to a scalar p
+    if not ((p >= -1e-12) & (p <= 1.0 + 1e-12)).all():
+        raise BadParamsError("p must lie in [0, 1]")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
 def alpha_I(p, n):
     """Average member tangle of the symmetric ensemble at q = (1-p)/n."""
     n = check_n(n)
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
-        raise BadParamsError("p must lie in [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
+    p = _check_p_array(p)
     c_lin, c_quad, c_root = _coeffs(n)
     val = (
         p**2
@@ -108,7 +115,7 @@ def alpha_II(p, n, p1):
     n = check_n(n)
     if not p1 < 1.0:
         raise BadParamsError(f"p1 must be < 1, got {p1!r}")
-    p = np.asarray(p, dtype=float)
+    p = _check_p_array(p)
     val = (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * alpha_I(p1, n)
     if val.ndim == 0:
         return float(val)

@@ -196,5 +196,7 @@ def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
         raise EmptyInputError("need at least one vertex")
     if not (np.isfinite(v).all() and np.isfinite(vertices).all()):
         raise BadParamsError("v and the vertices must be finite")
+    if not 0.0 <= tol < np.inf:
+        raise BadParamsError(f"tol must be a finite number >= 0, got {tol!r}")
     weights = _simplex_least_squares(vertices.T, v)
     return hull_residual(v, vertices, weights) <= tol, weights

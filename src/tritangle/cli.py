@@ -76,7 +76,7 @@ def cmd_table1(args):
 
 def cmd_curves(args):
     n = args.n
-    curve = characteristic_curve(n, p_points=args.p_points, phi_points=args.phi_points)
+    curve = characteristic_curve(n, p_points=args.p_points)
     env = lower_convex_envelope(np.column_stack([curve.p, curve.tau_min]))
     th = thresholds(n)
     columns = {"p": curve.p, "tau_min": curve.tau_min}
@@ -198,7 +198,6 @@ def build_parser():
     p_cur = sub.add_parser("curves", help="characteristic curve, analytic curve, envelope CSV")
     p_cur.add_argument("--n", type=float, required=True)
     p_cur.add_argument("--p-points", type=int, default=401)
-    p_cur.add_argument("--phi-points", type=int, default=64)
     p_cur.add_argument("-o", "--output", default=None)
     p_cur.set_defaults(func=cmd_curves)
 

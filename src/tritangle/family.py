@@ -100,22 +100,31 @@ def z_state(p, q, phi1=0.0, phi2=0.0):
     return PureState3(amps)
 
 
+def z_tangle_coefficients(p, q):
+    """(k, a, b, c1, c2) such that the tangle of z_state(p, q, phi1, phi2) is
+    |k - a t1 t2 - b (t1 t2)^2 - c1 t1^3 - c2 t2^3| with t = e^{i phi}; p and q
+    within PARAM_TOL below 0 count as 0, as in z_state."""
+    check_pq(p, q)
+    r = max(1.0 - p - q, 0.0)
+    p = max(float(p), 0.0)
+    q = max(float(q), 0.0)
+    c = 8.0 * math.sqrt(6.0) / 9.0
+    return (
+        p**2,
+        4.0 * p * math.sqrt(q * r),
+        (4.0 / 3.0) * q * r,
+        c * math.sqrt(p * q**3),
+        c * math.sqrt(p * r**3),
+    )
+
+
 def z_tangle_closed(p, q, phi1=0.0, phi2=0.0):
     """Closed-form three-tangle of z_state; broadcasts over phase arrays."""
-    check_pq(p, q)
-    p = float(p)
-    q = float(q)
-    r = max(1.0 - p - q, 0.0)
+    k, a, b, c1, c2 = z_tangle_coefficients(p, q)
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
     e12 = np.exp(1j * (phi1 + phi2))
-    val = np.abs(
-        p**2
-        - 4.0 * p * math.sqrt(q * r) * e12
-        - (4.0 / 3.0) * q * r * e12**2
-        - (8.0 * math.sqrt(6.0) / 9.0) * math.sqrt(p * q**3) * np.exp(3j * phi1)
-        - (8.0 * math.sqrt(6.0) / 9.0) * math.sqrt(p * r**3) * np.exp(3j * phi2)
-    )
+    val = np.abs(k - a * e12 - b * e12**2 - c1 * np.exp(3j * phi1) - c2 * np.exp(3j * phi2))
     if val.ndim == 0:
         return float(val)
     return val

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
-from .family import check_count, check_n, z_tangle_closed
+from .family import check_count, check_n, z_tangle_coefficients
 from .measures import _hyperdet
 # unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in roof
 from .measures import tangle_from_amps  # noqa: F401
@@ -20,8 +20,11 @@ RANK_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
-_PHASE_XATOL = 1e-8
-_PHASE_MAXFEV = 400
+_SIGMA_POINTS = 64
+_SIGMA_BASINS = 4
+_GOLDEN_STEPS = 80
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ELLIPSE_STEPS = 64
 _WEIGHT_FLOOR = 1e-14
 _SEARCH_MAXITER = 500
 _ARMIJO = 1e-4
@@ -44,51 +47,92 @@ class CharCurve:
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: characteristic_curve is
-    the only caller, so importing the package does not load scipy."""
+    """scipy.optimize.minimize, imported on first use. Nothing in the package
+    calls it; perfbench/tracing.py and tests/test_trace_contract.py still look
+    it up, and it goes with them (ROADMAP item 2)."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
 
 
-def characteristic_curve(n, p_points=401, phi_points=64):
-    """Minimize the closed-form Z tangle over the phase torus at each p.
+def _ellipse_foot(x, y, e0, e1, d):
+    """(cos t, sin t), unnormalized, of the point (e0 cos t, e1 sin t) of the
+    ellipse nearest to (x, y), for x, y >= 0, e0 >= e1 >= 0 and d = e0^2 - e1^2.
 
-    Coarse phi grid first, then simplex refinement of the best grid point
-    down to 1e-8 in phase.
+    Eberly's root of (e0 x / (u + d))^2 + (e1 y / u)^2 = 1, decreasing in u on
+    [e1 y, hypot(e0 x, e1 y)], found by bisection on a log scale so that u keeps
+    its relative precision however small it is. Where e1 y = 0 the root is
+    e0 x - d; where that is not positive, u = 0 and the foot leaves the x axis.
+    """
+    ex, ey = e0 * x, e1 * y
+    flat = ey == 0.0
+    lo = np.where(flat, 1.0, ey)
+    hi = np.where(flat, 1.0, np.hypot(ex, ey))
+    for _ in range(_ELLIPSE_STEPS):
+        u = np.sqrt(lo * hi)
+        out = (ex / (u + d)) ** 2 + (ey / u) ** 2 > 1.0
+        lo, hi = np.where(out, u, lo), np.where(out, hi, u)
+    u = np.where(flat, np.maximum(ex - d, 0.0), np.sqrt(lo * hi))
+    # u + d = 0 only where e0 x = 0, and then every t is as near as any other
+    cos = ex / np.maximum(u + d, _TINY)
+    off = u == 0.0
+    sin = np.where(off, np.sqrt(np.maximum(1.0 - cos**2, 0.0)), ey / np.where(off, 1.0, u))
+    return cos, sin
+
+
+def _slice_minimum(sigma, k, a, b, c1, c2):
+    """The Z tangle minimized over psi at fixed sigma = phi1 + phi2, and that psi.
+
+    With psi = 3 phi1 - 3 sigma / 2 the tangle is |Z - (c1 e^{i psi} + c2 e^{-i psi})|,
+    Z = (k - a e^{i sigma} - b e^{2 i sigma}) e^{-3 i sigma / 2}: the distance from
+    Z to the ellipse with semi-axes c1 + c2 and |c1 - c2|.
+    """
+    half = np.exp(0.5j * sigma)
+    z = (k - a * half**2 - b * half**4) / half**3
+    cos, sin = _ellipse_foot(np.abs(z.real), np.abs(z.imag), c1 + c2, np.abs(c1 - c2), 4.0 * c1 * c2)
+    psi = np.arctan2(np.copysign(sin, z.imag * (c1 - c2)), np.copysign(cos, z.real))
+    return np.abs(z - c1 * np.exp(1j * psi) - c2 * np.exp(-1j * psi)), psi
+
+
+def characteristic_curve(n, p_points=401):
+    """Minimize the closed-form Z tangle over both phases at each p, q = (1-p)/n.
+
+    The phase psi is minimized exactly (_slice_minimum), so only sigma is
+    searched, for all p at once: a grid of _SIGMA_POINTS, then _GOLDEN_STEPS
+    golden-section steps from each of the _SIGMA_BASINS lowest local minima of
+    the grid. Each search starts with its grid minimum as its lower interior
+    point and always keeps the best point it has seen, so no result lies above
+    the grid's.
     """
     n = check_n(n)
     p_points = check_count("p_points", p_points, 2)
-    phi_points = check_count("phi_points", phi_points, 4)
-    phis = np.linspace(0.0, _TWO_PI, phi_points, endpoint=False)
-    f1_grid, f2_grid = np.meshgrid(phis, phis, indexing="ij")
     ps = np.linspace(0.0, 1.0, p_points)
-    tau = np.empty(p_points)
-    arg1 = np.empty(p_points)
-    arg2 = np.empty(p_points)
-    for i, p in enumerate(ps):
-        q = (1.0 - p) / n
-        vals = z_tangle_closed(p, q, f1_grid, f2_grid)
-        flat = int(np.argmin(vals))
-        x0 = np.array([f1_grid.flat[flat], f2_grid.flat[flat]])
-
-        def objective(x):
-            return z_tangle_closed(p, q, x[0], x[1])
-
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": _PHASE_XATOL, "fatol": 1e-14, "maxfev": _PHASE_MAXFEV},
-        )
-        best = res if res.fun <= vals.flat[flat] else None
-        if best is None:
-            tau[i] = vals.flat[flat]
-            arg1[i], arg2[i] = x0
-        else:
-            tau[i] = float(res.fun)
-            arg1[i], arg2[i] = np.mod(res.x, _TWO_PI)
-    return CharCurve(n=n, p=ps, tau_min=tau, phi1=arg1, phi2=arg2)
+    coef = np.array([z_tangle_coefficients(p, (1.0 - p) / n) for p in ps]).T[..., None]
+    step = _TWO_PI / _SIGMA_POINTS
+    grid = np.arange(_SIGMA_POINTS) * step
+    vals = _slice_minimum(grid, *coef)[0]
+    basin = (vals <= np.roll(vals, 1, axis=1)) & (vals <= np.roll(vals, -1, axis=1))
+    lowest = np.argsort(np.where(basin, vals, np.inf), axis=1)[:, :_SIGMA_BASINS]
+    x1, f1 = grid[lowest], np.take_along_axis(vals, lowest, axis=1)
+    # [lo, hi] holds the grid steps on both sides of x1
+    lo = x1 - step
+    hi = lo + step / (1.0 - _GOLDEN)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f2 = _slice_minimum(x2, *coef)[0]
+    for _ in range(_GOLDEN_STEPS):
+        left = f1 < f2  # the minimum lies in [lo, x2]: x1 becomes the new x2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        x_new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        f_new = _slice_minimum(x_new, *coef)[0]
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    best = np.argmin(np.minimum(f1, f2), axis=1)
+    sigma = np.where(f1 < f2, x1, x2)[np.arange(p_points), best]
+    tau, psi = _slice_minimum(sigma, *coef[..., 0])
+    phi1 = (psi + 1.5 * sigma) / 3.0
+    return CharCurve(
+        n=n, p=ps, tau_min=tau, phi1=np.mod(phi1, _TWO_PI), phi2=np.mod(sigma - phi1, _TWO_PI)
+    )
 
 
 _COLLINEAR_TOL = 1e-12
@@ -112,6 +156,8 @@ def lower_convex_envelope(points):
         raise EmptyInputError("no points given")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise BadParamsError("need at least two (x, y) points")
+    if not np.isfinite(pts).all():
+        raise BadParamsError("points must be finite")
     x, y = pts[:, 0], pts[:, 1]
     if np.any(np.diff(x) <= 0.0):
         raise BadParamsError("x values must be strictly increasing")

@@ -148,6 +148,8 @@ def test_non_finite_p_rejected(p):
         mixed_three_tangle(p, 2.0)
     with pytest.raises(BadParamsError, match="p must"):
         alpha_I(np.array([0.5, p]), 2.0)
+    with pytest.raises(BadParamsError, match="p must"):
+        alpha_II(np.array([0.9, p]), 2.0, TH[2.0].p1)
     with pytest.raises(BadParamsError):
         alpha_I_dd(p, 2.0)
     for args in ((p, 0.1), (0.1, p), (p, -p)):
@@ -217,6 +219,9 @@ def test_alpha_II_values():
         assert abs(alpha_II(p1, n, p1) - alpha_I(p1, n)) <= 1e-15
     with pytest.raises(BadParamsError):
         alpha_II(0.9, 2.0, 1.0)
+    for bad in (5.0, -0.1, 1.1):
+        with pytest.raises(BadParamsError, match="p must"):
+            alpha_II(bad, 2.0, 0.8)
 
 
 def test_p1_tangency():

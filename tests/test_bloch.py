@@ -311,6 +311,10 @@ def test_membership_rejects_non_finite():
     bad[2, 4] = np.inf
     with pytest.raises(BadParamsError):
         in_zero_polyhedron(np.zeros(8), bad)
+    inside = verts.T @ np.full(5, 0.2)
+    for tol in (np.nan, -1.0, np.inf):
+        with pytest.raises(BadParamsError, match="tol"):
+            in_zero_polyhedron(inside, verts, tol=tol)
 
 
 def test_membership_weights_do_not_depend_on_scale():

@@ -143,6 +143,16 @@ def test_vanishing_rejects_huge_n(tmp_path, capsys):
     assert err.startswith("error: n must")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_vanishing_rejects_bad_tol(tmp_path, capsys, tol):
+    # rho(0.3, 0.35) lies inside the n = 2 polyhedron
+    path = save(tmp_path, "rho.txt", rho(0.3, 0.35))
+    code, out, err = run(capsys, ["vanishing", "--in", path, "--n", "2", "--tol", tol])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: tol must")
+
+
 def test_largest_n_accepted(capsys):
     code, out, err = run(capsys, ["tangle", "--p", "0.8", "--n", "1e150"])
     assert code == cli.EXIT_OK
@@ -218,7 +228,7 @@ def test_ckw_inequality_exit_code(monkeypatch, capsys):
 
 
 def test_curves_small(capsys):
-    code, out, err = run(capsys, ["curves", "--n", "2", "--p-points", "41", "--phi-points", "16"])
+    code, out, err = run(capsys, ["curves", "--n", "2", "--p-points", "41"])
     assert code == cli.EXIT_OK
     lines = out.strip().split("\n")
     assert lines[0] == "p,tau_min,tau_analytic,envelope"
@@ -228,7 +238,7 @@ def test_curves_small(capsys):
     assert abs(data[-1, 1] - 1.0) <= 1e-12
     assert abs(data[-1, 2] - 1.0) <= 1e-12
     assert np.all(data[:, 3] <= data[:, 1] + 1e-12)  # envelope below the curve
-    curve = characteristic_curve(2.0, p_points=41, phi_points=16)
+    curve = characteristic_curve(2.0, p_points=41)
     assert np.array_equal(data[:, 0], curve.p)  # exact round trip
     assert np.array_equal(data[:, 1], curve.tau_min)
 
@@ -236,17 +246,15 @@ def test_curves_small(capsys):
 def test_curves_reproducible(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    run(capsys, ["curves", "--n", "1", "--p-points", "21", "--phi-points", "8", "-o", str(a)])
-    run(capsys, ["curves", "--n", "1", "--p-points", "21", "--phi-points", "8", "-o", str(b)])
+    run(capsys, ["curves", "--n", "1", "--p-points", "21", "-o", str(a)])
+    run(capsys, ["curves", "--n", "1", "--p-points", "21", "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.slow
 def test_curves_envelope_crossing_n10(capsys):
     # the envelope leaves zero at the first threshold
-    code, out, err = run(
-        capsys, ["curves", "--n", "10", "--p-points", "1001", "--phi-points", "48"]
-    )
+    code, out, err = run(capsys, ["curves", "--n", "10", "--p-points", "1001"])
     assert code == cli.EXIT_OK
     data = np.loadtxt(out.strip().split("\n")[1:], delimiter=",")
     below = data[data[:, 3] <= 1e-4]

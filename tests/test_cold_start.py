@@ -1,13 +1,11 @@
-"""A cold process imports no scipy module unless characteristic_curve runs."""
+"""A cold process imports no scipy module, whatever tritangle command it runs."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from tritangle import characteristic_curve, rho, save_density_matrix
+from tritangle import rho, save_density_matrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -34,7 +32,7 @@ def test_import_loads_no_scipy():
 
 
 def test_tangle_command_loads_no_scipy(tmp_path):
-    # every command that solves thresholds, p_star included
+    # the commands that solve thresholds, p_star included, and curves' phase search
     state = str(tmp_path / "state.txt")
     save_density_matrix(rho(0.3, 0.35), state)
     commands = {
@@ -42,6 +40,7 @@ def test_tangle_command_loads_no_scipy(tmp_path):
         ("table1",): "n=1\np0=",
         ("ckw", "--n", "3", "--p-points", "11"): "p,one_tangle,conc_sq_sum,tau3,margin\n",
         ("vanishing", "--in", state, "--n", "2"): "p0=0.75\nvanishing=true\n",
+        ("curves", "--n", "2", "--p-points", "11"): "p,tau_min,tau_analytic,envelope\n",
     }
     for command, head in commands.items():
         proc = run_python("-X", "importtime", "-m", "tritangle.cli", *command)
@@ -49,18 +48,3 @@ def test_tangle_command_loads_no_scipy(tmp_path):
         assert proc.stdout.startswith(head)
         assert scipy_imports(proc.stderr) == []
 
-
-def test_characteristic_curve_imports_scipy_on_first_use():
-    code = (
-        "import sys\n"
-        "import tritangle\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "curve = tritangle.characteristic_curve(2, p_points=11)\n"
-        "assert 'scipy.optimize' in sys.modules\n"
-        "print(' '.join(float(t).hex() for t in curve.tau_min))\n"
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    cold = [float.fromhex(t) for t in proc.stdout.split()]
-    # this process has scipy loaded already: the values must not depend on when
-    assert np.array_equal(cold, characteristic_curve(2, p_points=11).tau_min)

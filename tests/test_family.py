@@ -104,6 +104,10 @@ def test_z_tangle_closed_corners():
     assert abs(z_tangle_closed(1.0, 0.0, 0.0, 0.0) - 1.0) <= 1e-15
     assert z_tangle_closed(0.0, 1.0, 0.0, 0.0) <= 1e-15
     assert z_tangle_closed(0.0, 0.0, 0.0, 0.0) <= 1e-15
+    # check_pq accepts p or q a rounding below 0, and so does z_state
+    for p, q in ((0.5, -1e-13), (-1e-13, 0.5)):
+        direct = three_tangle_pure(z_state(p, q, 0.3, 0.2))
+        assert abs(z_tangle_closed(p, q, 0.3, 0.2) - direct) <= 1e-12
 
 
 def test_z_tangle_closed_matches_pure_tangle():

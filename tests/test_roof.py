@@ -23,13 +23,14 @@ from tritangle import (
     thresholds,
     trace_distance,
     w,
+    z_tangle_closed,
 )
 
 TH2 = thresholds(2.0)
 
 
 def test_characteristic_curve_shapes_and_range():
-    curve = characteristic_curve(2.0, p_points=41, phi_points=16)
+    curve = characteristic_curve(2.0, p_points=41)
     assert curve.p.shape == curve.tau_min.shape == curve.phi1.shape == curve.phi2.shape == (41,)
     assert curve.p[0] == 0.0 and curve.p[-1] == 1.0
     assert np.all(curve.tau_min >= -1e-15)
@@ -38,19 +39,47 @@ def test_characteristic_curve_shapes_and_range():
 
 
 def test_characteristic_curve_endpoints():
-    curve = characteristic_curve(2.0, p_points=41, phi_points=16)
+    curve = characteristic_curve(2.0, p_points=41)
     # p=0: tangle (4/3) q r is phase-independent
     assert abs(curve.tau_min[0] - (4.0 / 3.0) * 0.25) <= 1e-12
     assert abs(curve.tau_min[-1] - 1.0) <= 1e-12
 
 
 def test_characteristic_curve_bounded_by_symmetric_phases():
-    # the (0,0) phase point is always on the search grid, so the minimum
-    # cannot exceed the region-I value wherever that value is nonnegative
-    curve = characteristic_curve(2.0, p_points=41, phi_points=16)
+    # phi1 + phi2 = 0 is on the search grid, where the other phase is exact, so
+    # the minimum cannot exceed the region-I value wherever that value is
+    # nonnegative
+    curve = characteristic_curve(2.0, p_points=41)
     for p, tau in zip(curve.p, curve.tau_min):
         if p >= TH2.p0:
             assert tau <= alpha_I(p, 2.0) + 1e-9
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0, 10.0, 1.37])
+def test_characteristic_curve_below_phase_grid(n):
+    curve = characteristic_curve(n, p_points=41)
+    phis = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    f1, f2 = np.meshgrid(phis, phis, indexing="ij")
+    for p, tau in zip(curve.p, curve.tau_min):
+        assert tau <= np.min(z_tangle_closed(p, (1.0 - p) / n, f1, f2)) + 1e-15
+
+
+@pytest.mark.parametrize("n", [2.0, 2.0 + 1e-9, 1.999999, 3.0, 10.0])
+def test_characteristic_curve_phases_give_the_minimum(n):
+    curve = characteristic_curve(n, p_points=101)
+    assert np.all((curve.phi2 >= 0.0) & (curve.phi2 < 2 * np.pi))
+    for p, tau, f1, f2 in zip(curve.p, curve.tau_min, curve.phi1, curve.phi2):
+        assert abs(z_tangle_closed(p, (1.0 - p) / n, f1, f2) - tau) <= 1e-12
+
+
+def test_characteristic_curve_finds_thin_zeros():
+    # at n = 2 the zero set of the tangle on the phase torus is a thin curve
+    # for these p; p = 0.25 is a zero where the curve only touches
+    curve = characteristic_curve(2.0, p_points=401)
+    band = (curve.p >= 0.155 - 1e-12) & (curve.p <= 0.2475 + 1e-12)
+    assert np.count_nonzero(band) == 38
+    assert np.all(curve.tau_min[band] <= 1e-14)
+    assert curve.p[100] == 0.25 and curve.tau_min[100] <= 1e-14
 
 
 def test_characteristic_curve_validation():
@@ -59,9 +88,6 @@ def test_characteristic_curve_validation():
     for bad in (1, 11.5, True):
         with pytest.raises(BadParamsError, match="p_points"):
             characteristic_curve(2.0, p_points=bad)
-    for bad in (3, 8.5, True):
-        with pytest.raises(BadParamsError, match="phi_points"):
-            characteristic_curve(2.0, phi_points=bad)
 
 
 def test_envelope_of_convex_samples_is_identity():
@@ -105,6 +131,11 @@ def test_envelope_validation():
         lower_convex_envelope([(0.0, 1.0), (0.0, 2.0)])
     with pytest.raises(BadParamsError):
         lower_convex_envelope(np.zeros((3, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadParamsError, match="finite"):
+            lower_convex_envelope([(0.0, bad), (0.5, 0.2), (1.0, 1.0)])
+        with pytest.raises(BadParamsError, match="finite"):
+            lower_convex_envelope([(0.0, 0.0), (bad, 0.2), (1.0, 1.0)])
 
 
 def test_rank_of():
@@ -247,7 +278,7 @@ def test_min_avg_tangle_tracks_analytic_value():
 def test_envelope_matches_analytic_above_first_threshold():
     # diagnostic on [0.6, 1]: the convex envelope of the sampled curve tracks
     # the piecewise value once the vanishing plateau is past
-    curve = characteristic_curve(2.0, p_points=201, phi_points=48)
+    curve = characteristic_curve(2.0, p_points=201)
     env = lower_convex_envelope(np.column_stack([curve.p, curve.tau_min]))
     gaps = []
     for p in np.linspace(0.6, 1.0, 81):
