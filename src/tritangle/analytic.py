@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParamsError, NoRootError
-from .family import check_count, check_n, check_p, check_pq
+from .family import PARAM_TOL, check_count, check_n, check_p, check_pq, check_thresholds
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -63,11 +63,11 @@ def _coeffs(n):
 
 
 def _check_p_array(p):
-    """p as a float array in [0, 1]; values within 1e-12 outside are clipped."""
+    """p as a float array in [0, 1]; values within PARAM_TOL outside are clipped."""
     p = np.asarray(p, dtype=float)
     # the array methods and ufuncs, not np.all and np.clip, which add a few
     # microseconds of Python per call to a scalar p
-    if not ((p >= -1e-12) & (p <= 1.0 + 1e-12)).all():
+    if not ((p >= -PARAM_TOL) & (p <= 1.0 + PARAM_TOL)).all():
         raise BadParamsError("p must lie in [0, 1]")
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
@@ -268,10 +268,7 @@ def mixed_three_tangle(p, n, th=None):
     """Piecewise mixture tangle: 0, alpha_I, or alpha_II by region."""
     n = check_n(n)
     p = check_p(p)
-    if th is None:
-        th = thresholds(n)
-    elif not abs(th.n - n) <= 1e-9:
-        raise BadParamsError(f"thresholds were solved for n={th.n}, not n={n}")
+    th = thresholds(n) if th is None else check_thresholds(th, n)
     if p <= th.p0:
         return PiecewiseTangle(Region.ZERO, 0.0)
     if p <= th.p1:
@@ -281,10 +278,7 @@ def mixed_three_tangle(p, n, th=None):
 
 def one_tangle_min(p, q):
     """Minimum one-tangle 4 min det rho_A of the mixture, closed form."""
-    check_pq(p, q)
-    p = max(float(p), 0.0)
-    q = max(float(q), 0.0)
-    r = max(1.0 - p - q, 0.0)
+    p, q, r = check_pq(p, q)
     poly = 8.0 - 4.0 * p - 12.0 * q + 5.0 * p * p + 12.0 * q * q + 12.0 * p * q
     cross = 4.0 * math.sqrt(p * q * r) * (
         2.0 * math.sqrt(6.0 * q) + 2.0 * math.sqrt(6.0 * r) - 3.0 * math.sqrt(p)
@@ -294,10 +288,7 @@ def one_tangle_min(p, q):
 
 def concurrence_sum_sq(p, q):
     """C_AB^2 + C_AC^2 of the mixture, closed form."""
-    check_pq(p, q)
-    p = max(float(p), 0.0)
-    q = max(float(q), 0.0)
-    r = max(1.0 - p - q, 0.0)
+    p, q, r = check_pq(p, q)
     # 3p + 2r equals 2 + p - 2q, which cancels as r -> 0 and drops a small p
     c = (2.0 / 3.0) * (1.0 - p) - (1.0 / 3.0) * math.sqrt(
         (3.0 * p + 2.0 * q) * (3.0 * p + 2.0 * r)

@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from .errors import BadDimensionError, BadParamsError, EmptyInputError, OutOfSpanError
-from .family import check_n, ghz, w, w_tilde, z_state
-from .states import DensityMatrix
+from .family import SYMMETRIC_PHASES, check_n, ghz, w, w_tilde, z_state
+from .states import DensityMatrix, check_density
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -38,19 +38,16 @@ def qutrit_project(rho):
 
     Raises OutOfSpan if rho has weight outside the span (leakage > 1e-10).
     """
-    if not isinstance(rho, DensityMatrix) or rho.dim != 8:
-        raise BadDimensionError("qutrit_project expects an 8x8 DensityMatrix")
-    sigma = _BASIS.conj().T @ rho.mat @ _BASIS
+    sigma = _BASIS.conj().T @ check_density(rho, 8, "qutrit_project").mat @ _BASIS
     leakage = 1.0 - sigma.trace().real
-    if leakage > LEAKAGE_TOL:
+    if not leakage <= LEAKAGE_TOL:
         raise OutOfSpanError(leakage)
     return DensityMatrix(sigma / sigma.trace().real)
 
 
 def bloch_vector(sigma):
     """Gell-Mann coordinates n_i = (sqrt(3)/2) Tr(sigma l_i)."""
-    if not isinstance(sigma, DensityMatrix) or sigma.dim != 3:
-        raise BadDimensionError("bloch_vector expects a 3x3 DensityMatrix")
+    sigma = check_density(sigma, 3, "bloch_vector")
     return (_SQRT3 / 2.0) * np.real(np.einsum("kij,ji->k", GELL_MANN, sigma.mat))
 
 
@@ -110,13 +107,7 @@ def vertex_states(n, p0):
     """Pure states behind zero_tangle_vertices, in the same row order."""
     n = check_n(n)
     q0 = (1.0 - p0) / n
-    return [
-        w(),
-        w_tilde(),
-        z_state(p0, q0, 0.0, 0.0),
-        z_state(p0, q0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0),
-        z_state(p0, q0, 4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0),
-    ]
+    return [w(), w_tilde(), *(z_state(p0, q0, f1, f2) for f1, f2 in SYMMETRIC_PHASES)]
 
 
 @functools.lru_cache(maxsize=16)

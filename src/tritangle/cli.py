@@ -23,11 +23,11 @@ from .bloch import (
     qutrit_project,
     zero_tangle_vertices,
 )
-from .errors import BadDimensionError, OutOfSpanError
+from .errors import OutOfSpanError
 from .family import optimal_decomposition, rho
 from .measures import ensemble_average_tangle
 from .roof import characteristic_curve, lower_convex_envelope, min_avg_tangle, rank_of
-from .states import density_from_ensemble, load_density_matrix, trace_distance
+from .states import check_density, density_from_ensemble, load_density_matrix, trace_distance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,9 +117,7 @@ def cmd_decompose(args):
 
 
 def cmd_vanishing(args):
-    rho_in = load_density_matrix(args.infile)
-    if rho_in.dim != 8:
-        raise BadDimensionError(f"vanishing expects an 8x8 matrix, got dim {rho_in.dim}")
+    rho_in = check_density(load_density_matrix(args.infile), 8, "vanishing")
     n = args.n
     sigma = qutrit_project(rho_in)
     vec = bloch_vector(sigma)
@@ -138,9 +136,7 @@ def cmd_vanishing(args):
 
 
 def cmd_oracle(args):
-    rho_in = load_density_matrix(args.infile)
-    if rho_in.dim != 8:
-        raise BadDimensionError(f"oracle expects an 8x8 matrix, got dim {rho_in.dim}")
+    rho_in = check_density(load_density_matrix(args.infile), 8, "oracle")
     r = rank_of(rho_in)
     m = args.m if args.m is not None else min(r + 2, 8)
     result = min_avg_tangle(rho_in, m, restarts=args.restarts, seed=args.seed)

@@ -5,12 +5,12 @@ class ZeroVectorError(ValueError):
     """Amplitude vector has (numerically) zero norm."""
 
 
-class BadDimensionError(ValueError):
-    """Matrix or vector has an unsupported shape."""
-
-
 class BadParamsError(ValueError):
     """Parameters violate a documented precondition."""
+
+
+class BadDimensionError(BadParamsError):
+    """Matrix or vector has an unsupported shape."""
 
 
 class NoRootError(RuntimeError):

@@ -84,17 +84,29 @@ def check_count(name, value, lo, hi=None):
 
 
 def check_pq(p, q):
+    """(p, q, r) as floats with r = 1 - p - q: p and q within PARAM_TOL below 0
+    become 0 first, then r is clipped at 0; every (p, q)-taking function uses
+    this one triple."""
     if not (p >= -PARAM_TOL and q >= -PARAM_TOL and p + q <= 1.0 + PARAM_TOL):
         raise BadParamsError(f"require 0 <= p, 0 <= q, p + q <= 1; got p={p!r}, q={q!r}")
+    p = max(float(p), 0.0)
+    q = max(float(q), 0.0)
+    return p, q, max(1.0 - p - q, 0.0)
+
+
+def check_thresholds(th, n):
+    """th, if it is the Thresholds record solved for n (within 1e-9)."""
+    if not abs(th.n - n) <= 1e-9:
+        raise BadParamsError(f"thresholds were solved for n={th.n}, not n={n}")
+    return th
 
 
 def z_state(p, q, phi1=0.0, phi2=0.0):
     """sqrt(p)|GHZ> - e^{i phi1} sqrt(q)|W> - e^{i phi2} sqrt(1-p-q)|W~>."""
-    check_pq(p, q)
-    r = max(1.0 - p - q, 0.0)
+    p, q, r = check_pq(p, q)
     amps = (
-        math.sqrt(max(p, 0.0)) * _GHZ
-        - np.exp(1j * phi1) * math.sqrt(max(q, 0.0)) * _W
+        math.sqrt(p) * _GHZ
+        - np.exp(1j * phi1) * math.sqrt(q) * _W
         - np.exp(1j * phi2) * math.sqrt(r) * _W_TILDE
     )
     return PureState3(amps)
@@ -102,12 +114,8 @@ def z_state(p, q, phi1=0.0, phi2=0.0):
 
 def z_tangle_coefficients(p, q):
     """(k, a, b, c1, c2) such that the tangle of z_state(p, q, phi1, phi2) is
-    |k - a t1 t2 - b (t1 t2)^2 - c1 t1^3 - c2 t2^3| with t = e^{i phi}; p and q
-    within PARAM_TOL below 0 count as 0, as in z_state."""
-    check_pq(p, q)
-    r = max(1.0 - p - q, 0.0)
-    p = max(float(p), 0.0)
-    q = max(float(q), 0.0)
+    |k - a t1 t2 - b (t1 t2)^2 - c1 t1^3 - c2 t2^3| with t = e^{i phi}."""
+    p, q, r = check_pq(p, q)
     c = 8.0 * math.sqrt(6.0) / 9.0
     return (
         p**2,
@@ -132,8 +140,7 @@ def z_tangle_closed(p, q, phi1=0.0, phi2=0.0):
 
 def rho(p, q):
     """p |GHZ><GHZ| + q |W><W| + (1-p-q) |W~><W~|; rank <= 3."""
-    check_pq(p, q)
-    r = max(1.0 - p - q, 0.0)
+    p, q, r = check_pq(p, q)
     mat = (
         p * np.outer(_GHZ, _GHZ.conj())
         + q * np.outer(_W, _W.conj())
@@ -144,7 +151,6 @@ def rho(p, q):
 
 def symmetric_ensemble(p, q):
     """Equal-weight three-member Z ensemble realizing rho(p,q)."""
-    check_pq(p, q)
     return Ensemble(
         [(1.0 / 3.0, z_state(p, q, f1, f2)) for f1, f2 in SYMMETRIC_PHASES]
     )
@@ -157,8 +163,7 @@ def optimal_decomposition(p, n, th):
     <= 1e-14 are dropped so boundary calls return the short ensembles.
     """
     p = check_p(p)
-    if not abs(th.n - n) <= 1e-9:
-        raise BadParamsError(f"thresholds were solved for n={th.n}, not n={n}")
+    check_thresholds(th, n)
     p0, p1 = th.p0, th.p1
     if p < p0:
         q0 = (1.0 - p0) / n
@@ -180,15 +185,11 @@ def optimal_decomposition(p, n, th):
 def pi_state(p, n):
     """p |GHZ+><GHZ+| + ((1-p)/n)|W><W| + ((n-1)(1-p)/n)|GHZ-><GHZ-|.
 
-    n may be math.inf, in which case the W term drops out.
+    n may be math.inf, in which case the W term drops out; a finite n is
+    checked by check_n.
     """
     p = check_p(p)
-    if not (n == math.inf or n >= 1.0 - PARAM_TOL):
-        raise BadParamsError(f"n must be >= 1 or infinity, got {n!r}")
-    if math.isinf(n):
-        qn = 0.0
-    else:
-        qn = (1.0 - p) / n
+    qn = 0.0 if n == math.inf else (1.0 - p) / check_n(n)
     rest = (1.0 - p) - qn
     mat = (
         p * np.outer(_GHZ, _GHZ.conj())

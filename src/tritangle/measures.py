@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from .errors import BadDimensionError
-from .states import DensityMatrix, PureState3, partial_trace, partial_trace_pair
+from .states import check_density, partial_trace, partial_trace_pair
 
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_Y, _Y)
@@ -69,9 +68,7 @@ def wootters_lambdas(rho):
 
     Uses the Hermitian form sqrt(rho) rho~ sqrt(rho), which has the same spectrum.
     """
-    if not isinstance(rho, DensityMatrix) or rho.dim != 4:
-        raise BadDimensionError("wootters_lambdas expects a 4x4 DensityMatrix")
-    m = rho.mat
+    m = check_density(rho, 4, "wootters_lambdas").mat
     tilde = _YY @ m.conj() @ _YY
     root = _sqrtm_psd(m)
     prod = root @ tilde @ root

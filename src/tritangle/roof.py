@@ -14,7 +14,7 @@ from .family import check_count, check_n, z_tangle_coefficients
 from .measures import _hyperdet
 # unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in roof
 from .measures import tangle_from_amps  # noqa: F401
-from .states import DensityMatrix, Ensemble, eigh_desc, pure_from_amplitudes
+from .states import Ensemble, check_density, eigh_desc, pure_from_amplitudes
 
 RANK_TOL = 1e-12
 ISOMETRY_TOL = 1e-10
@@ -187,14 +187,13 @@ def hjw_ensemble(rho, mixing):
 
     Members with weight <= 1e-14 are dropped; the rest reproduce rho.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise BadParamsError("hjw_ensemble expects a DensityMatrix")
+    check_density(rho, 8, "hjw_ensemble")
     u = np.asarray(mixing, dtype=complex)
     r = rank_of(rho)
     if u.ndim != 2 or u.shape[0] < r or u.shape[1] != r:
         raise BadParamsError(f"mixing must be m x {r} with m >= {r}, got {u.shape}")
     gram = u.conj().T @ u
-    if np.max(np.abs(gram - np.eye(r))) > ISOMETRY_TOL:
+    if not np.max(np.abs(gram - np.eye(r))) <= ISOMETRY_TOL:
         raise NotIsometryError("mixing matrix columns are not orthonormal within 1e-10")
     vals, vecs = eigh_desc(rho.mat)
     basis = vecs[:, :r] * np.sqrt(np.maximum(vals[:r], 0.0))
@@ -495,8 +494,7 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     quartic form in a member's r mixing coefficients, so no member is formed in
     8 amplitudes.
     """
-    if not isinstance(rho, DensityMatrix) or rho.dim != 8:
-        raise BadParamsError("min_avg_tangle expects an 8x8 DensityMatrix")
+    check_density(rho, 8, "min_avg_tangle")
     r = rank_of(rho)
     if r > 4:
         raise BadParamsError(f"rank {r} exceeds the supported maximum 4")

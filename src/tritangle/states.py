@@ -25,8 +25,8 @@ class PureState3:
         a = np.asarray(amps, dtype=complex)
         if a.shape != (8,):
             raise BadDimensionError(f"expected 8 amplitudes, got shape {a.shape}")
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = float(np.linalg.norm(a))
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise BadParamsError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         a = a.copy()
         a.setflags(write=False)
@@ -59,12 +59,14 @@ class DensityMatrix:
         d = m.shape[0]
         if d not in _VALID_DIMS:
             raise BadDimensionError(f"dimension {d} not in {_VALID_DIMS}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise BadParamsError("matrix entries must be finite")
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL:
             raise BadParamsError("matrix is not Hermitian within 1e-12")
         tr = m.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise BadParamsError(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        if np.linalg.eigvalsh(m).min() < EIGENVALUE_FLOOR:
+        if not np.linalg.eigvalsh(m).min() >= EIGENVALUE_FLOOR:
             raise BadParamsError("matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
@@ -93,10 +95,10 @@ class Ensemble:
         for w, s in members:
             if not isinstance(s, PureState3):
                 raise BadParamsError("ensemble members must be PureState3")
-            if w < -NORM_TOL or w > 1.0 + NORM_TOL:
+            if not -NORM_TOL <= w <= 1.0 + NORM_TOL:
                 raise BadParamsError(f"weight {w!r} outside [0, 1]")
         total = sum(w for w, _ in members)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise BadParamsError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
 
@@ -142,10 +144,18 @@ _KEEP_ONE = {"A": "abcdbc->ad", "B": "abcaec->be", "C": "abcabf->cf"}
 _KEEP_TWO = {"AB": "abcdec->abde", "AC": "abcdbf->acdf", "BC": "abcaef->bcef"}
 
 
+def check_density(rho, dim, name):
+    """rho, if it is a DensityMatrix of dimension dim; name is the caller's, for
+    the message."""
+    if not (isinstance(rho, DensityMatrix) and rho.dim == dim):
+        got = rho if isinstance(rho, DensityMatrix) else type(rho).__name__
+        raise BadDimensionError(f"{name} expects a DensityMatrix of dimension {dim}, got {got}")
+    return rho
+
+
 def partial_trace(rho, keep):
     """Reduced 2x2 density matrix of the kept qubit ('A', 'B' or 'C')."""
-    if not isinstance(rho, DensityMatrix) or rho.dim != 8:
-        raise BadDimensionError("partial_trace expects an 8x8 DensityMatrix")
+    check_density(rho, 8, "partial_trace")
     if keep not in _KEEP_ONE:
         raise BadParamsError(f"keep must be one of {tuple(_KEEP_ONE)}, got {keep!r}")
     t = rho.mat.reshape(2, 2, 2, 2, 2, 2)
@@ -154,8 +164,7 @@ def partial_trace(rho, keep):
 
 def partial_trace_pair(rho, keep):
     """Reduced 4x4 density matrix of the kept qubit pair ('AB', 'AC' or 'BC')."""
-    if not isinstance(rho, DensityMatrix) or rho.dim != 8:
-        raise BadDimensionError("partial_trace_pair expects an 8x8 DensityMatrix")
+    check_density(rho, 8, "partial_trace_pair")
     if keep not in _KEEP_TWO:
         raise BadParamsError(f"keep must be one of {tuple(_KEEP_TWO)}, got {keep!r}")
     t = rho.mat.reshape(2, 2, 2, 2, 2, 2)
@@ -195,6 +204,8 @@ def load_density_matrix(path):
     if not tokens:
         raise BadParamsError(f"{path}: empty matrix file")
     dim = int(tokens[0])
+    if dim < 1:
+        raise BadParamsError(f"{path}: dimension must be a positive integer, got {dim}")
     vals = [float(t) for t in tokens[1:]]
     if len(vals) != 2 * dim * dim:
         raise BadParamsError(

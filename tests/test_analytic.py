@@ -368,6 +368,24 @@ def test_ckw_audit_margins():
         assert audit.margin[-1] == 0.0  # GHZ endpoint saturates the inequality
 
 
+def test_ckw_holds_over_the_whole_triangle():
+    # every (p, q) with q > 0 lies on the slice n = (1 - p)/q >= 1; on q = 0 the
+    # W <-> W~ swap, which keeps all three quantities, maps it to n = 1
+    steps = 200
+    least = math.inf
+    below_one = 0
+    for i in range(steps + 1):
+        p = i / steps
+        for j in range(steps + 1 - i):
+            q = j / steps
+            n = (1.0 - p) / q if q > 0.0 else 1.0
+            below_one += n < 1.0  # r = 0 edge points that check_n clamps to 1
+            tau = mixed_three_tangle(p, n).value
+            least = min(least, one_tangle_min(p, q) - concurrence_sum_sq(p, q) - tau)
+    assert below_one == 40
+    assert least >= -1e-12
+
+
 def test_ckw_audit_validation():
     for bad in (1, 10.5, True, float("nan")):
         with pytest.raises(BadParamsError, match="grid_size"):

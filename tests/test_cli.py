@@ -295,6 +295,28 @@ def test_vanishing_missing_file(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [["vanishing", "--n", "2"], ["oracle"]])
+def test_non_finite_matrix_file_exits_usage(tmp_path, capsys, command):
+    mat = rho(0.3, 0.35).mat.copy()
+    mat[0, 1] = mat[1, 0] = math.nan
+    path = tmp_path / "nan.txt"
+    rows = (" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in mat)
+    path.write_text("8\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, [command[0], "--in", str(path), *command[1:]])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["vanishing", "oracle"])
+def test_wrong_dimension_names_the_command(tmp_path, capsys, command):
+    path = save(tmp_path, "qubit.txt", DensityMatrix(np.eye(2) / 2))
+    argv = [command, "--in", path] + (["--n", "2"] if command == "vanishing" else [])
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {command} expects a DensityMatrix of dimension 8")
+
+
 def test_vanishing_wrong_dimension(tmp_path, capsys):
     path = save(tmp_path, "qubit.txt", DensityMatrix(np.eye(2) / 2))
     code, out, err = run(capsys, ["vanishing", "--in", path, "--n", "2"])

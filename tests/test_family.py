@@ -5,10 +5,12 @@ from tritangle import (
     BadParamsError,
     SYMMETRIC_PHASES,
     characteristic_curve,
+    concurrence_sum_sq,
     density_from_ensemble,
     ensemble_average_tangle,
     ghz,
     ghz_minus,
+    one_tangle_min,
     optimal_decomposition,
     pi_state,
     pure_from_amplitudes,
@@ -25,6 +27,7 @@ from tritangle import (
     z_tangle_closed,
     zero_tangle_vertices,
 )
+from tritangle.family import check_pq, z_tangle_coefficients
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 XXX = np.kron(np.kron(X, X), X)
@@ -98,6 +101,27 @@ def test_non_finite_params_rejected(bad):
             pi_state(0.5, bad)
     else:
         assert pi_state(0.5, bad).dim == 8  # n = inf stays valid
+
+
+@pytest.mark.parametrize("p, q", [(-1e-13, 0.5), (0.5, -1e-13)])
+def test_boundary_input_has_one_meaning(p, q):
+    # a weight a rounding below 0 counts as 0 everywhere, and r = 1 - p - q
+    # is then taken from the clamped weights
+    clamped = (max(p, 0.0), max(q, 0.0))
+    assert check_pq(p, q) == (*clamped, 0.5)
+    assert np.diag(rho(p, q).mat).real.min() >= 0.0
+    assert np.array_equal(rho(p, q).mat, rho(*clamped).mat)
+    assert np.array_equal(z_state(p, q, 0.3, 0.2).amps, z_state(*clamped, 0.3, 0.2).amps)
+    assert z_tangle_coefficients(p, q) == z_tangle_coefficients(*clamped)
+    assert one_tangle_min(p, q) == one_tangle_min(*clamped)
+    assert concurrence_sum_sq(p, q) == concurrence_sum_sq(*clamped)
+
+
+def test_pi_state_refuses_n_above_the_ceiling():
+    for n in (1e200, 1e151):
+        with pytest.raises(BadParamsError, match="n must"):
+            pi_state(0.5, n)
+    assert pi_state(0.5, 1e150).dim == 8
 
 
 def test_z_tangle_closed_corners():

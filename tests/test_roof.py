@@ -176,6 +176,13 @@ def test_hjw_validation():
         hjw_ensemble(target.mat, np.eye(3))
 
 
+def test_hjw_refuses_non_finite_mixing():
+    mixing = np.eye(3, dtype=complex)
+    mixing[1, 2] = np.nan
+    with pytest.raises(NotIsometryError):
+        hjw_ensemble(rho(0.3, 0.35), mixing)
+
+
 def test_hjw_mixing_reaches_optimal_ensemble():
     # rebuild the 5-member zero-region ensemble through its own mixing matrix
     n, p = 2.0, 0.3

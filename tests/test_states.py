@@ -21,6 +21,7 @@ from tritangle import (
     trace_distance,
     w,
 )
+from tritangle.states import check_density
 
 
 def random_state(rng):
@@ -105,6 +106,32 @@ def test_density_matrix_validation():
         DensityMatrix(neg)
     with pytest.raises(BadDimensionError):
         DensityMatrix(np.eye(5) / 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    mat = np.eye(8, dtype=complex) / 8
+    mat[0, 1] = mat[1, 0] = bad  # Hermitian, trace 1
+    with pytest.raises(BadParamsError, match="finite"):
+        DensityMatrix(mat)
+    amps = ghz().amps.copy()
+    amps[3] = bad
+    with pytest.raises(BadParamsError):
+        PureState3(amps)
+    with pytest.raises(BadParamsError):
+        Ensemble([(bad, ghz())])
+    with pytest.raises(BadParamsError):
+        Ensemble([(0.5, ghz()), (bad, w())])
+
+
+def test_check_density_names_the_caller():
+    two = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+    assert check_density(two, 2, "f") is two
+    for bad in (two, two.mat, None):
+        with pytest.raises(BadDimensionError, match="^g expects a DensityMatrix of dimension 8"):
+            check_density(bad, 8, "g")
+    # one exception family for every malformed input
+    assert issubclass(BadDimensionError, BadParamsError)
 
 
 def test_ensemble_validation():
@@ -255,4 +282,12 @@ def test_load_rejects_malformed(tmp_path):
         load_density_matrix(path)
     path.write_text("")
     with pytest.raises(BadParamsError):
+        load_density_matrix(path)
+
+
+@pytest.mark.parametrize("dim", ["-2", "0"])
+def test_load_rejects_non_positive_dimension(tmp_path, dim):
+    path = tmp_path / "bad.txt"
+    path.write_text(dim + "\n" + " ".join(["0.25"] * 8) + "\n")
+    with pytest.raises(BadParamsError, match="dimension must be a positive integer"):
         load_density_matrix(path)
