@@ -2,6 +2,9 @@
 
 All horizontal-axis formulas take (p, n) with q = (1-p)/n substituted, except
 one_tangle_min and concurrence_sum_sq which take general (p, q).
+
+A Python-float p is evaluated with math; numpy is imported only for array
+arguments, so the scalar closed forms start without it.
 """
 
 import math
@@ -9,10 +12,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import BadParamsError, NoRootError
-from .family import PARAM_TOL, check_count, check_n, check_p, check_pq, check_thresholds
+from .params import PARAM_TOL, check_count, check_n, check_p, check_pq, check_thresholds
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -62,8 +63,15 @@ def _coeffs(n):
     return c_lin, c_quad, c_root
 
 
+def _is_scalar(p):
+    """Whether p takes the math path: a Python (or numpy) float, int or bool."""
+    return isinstance(p, (float, int))
+
+
 def _check_p_array(p):
     """p as a float array in [0, 1]; values within PARAM_TOL outside are clipped."""
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     # the array methods and ufuncs, not np.all and np.clip, which add a few
     # microseconds of Python per call to a scalar p
@@ -75,14 +83,24 @@ def _check_p_array(p):
 def alpha_I(p, n):
     """Average member tangle of the symmetric ensemble at q = (1-p)/n."""
     n = check_n(n)
-    p = _check_p_array(p)
     c_lin, c_quad, c_root = _coeffs(n)
+    scalar = _is_scalar(p)
+    if scalar:
+        p = check_p(p)
+        sqrt = math.sqrt
+    else:
+        import numpy as np
+
+        p = _check_p_array(p)
+        sqrt = np.sqrt
     val = (
         p**2
         - c_lin * p * (1.0 - p)
         - c_quad * (1.0 - p) ** 2
-        - c_root * np.sqrt(p * (1.0 - p) ** 3)
+        - c_root * sqrt(p * (1.0 - p) ** 3)
     )
+    if scalar:
+        return val
     if val.ndim == 0:
         return float(val)
     return val
@@ -97,6 +115,8 @@ def _dd_coeffs(n):
 
 def alpha_I_dd(p, n):
     """Closed-form second derivative of alpha_I; singular at p in {0, 1}."""
+    import numpy as np
+
     n = check_n(n)
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
@@ -115,8 +135,11 @@ def alpha_II(p, n, p1):
     n = check_n(n)
     if not p1 < 1.0:
         raise BadParamsError(f"p1 must be < 1, got {p1!r}")
-    p = _check_p_array(p)
+    scalar = _is_scalar(p)
+    p = check_p(p) if scalar else _check_p_array(p)
     val = (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * alpha_I(p1, n)
+    if scalar:
+        return val
     if val.ndim == 0:
         return float(val)
     return val
@@ -298,14 +321,17 @@ def concurrence_sum_sq(p, q):
 
 @dataclass(frozen=True)
 class CkwAudit:
-    """Grid check of one_tangle >= conc_sq_sum + tau3 on the q=(1-p)/n slice."""
+    """Grid check of one_tangle >= conc_sq_sum + tau3 on the q=(1-p)/n slice.
+
+    The five columns are tuples of floats, one entry per grid point.
+    """
 
     n: float
-    p: np.ndarray
-    one_tangle: np.ndarray
-    conc_sq_sum: np.ndarray
-    tau3: np.ndarray
-    margin: np.ndarray
+    p: tuple
+    one_tangle: tuple
+    conc_sq_sum: tuple
+    tau3: tuple
+    margin: tuple
     min_margin: float
 
 
@@ -313,11 +339,13 @@ def ckw_audit(n, grid_size):
     n = check_n(n)
     grid_size = check_count("grid_size", grid_size, 2)
     th = thresholds(n)
-    ps = np.linspace(0.0, 1.0, grid_size)
-    one = np.array([one_tangle_min(p, (1.0 - p) / n) for p in ps])
-    conc = np.array([concurrence_sum_sq(p, (1.0 - p) / n) for p in ps])
-    tau = np.array([mixed_three_tangle(p, n, th).value for p in ps])
-    margin = one - conc - tau
+    # the points of np.linspace(0, 1, grid_size), bit for bit
+    step = 1.0 / (grid_size - 1)
+    ps = tuple(i * step for i in range(grid_size - 1)) + (1.0,)
+    one = tuple(one_tangle_min(p, (1.0 - p) / n) for p in ps)
+    conc = tuple(concurrence_sum_sq(p, (1.0 - p) / n) for p in ps)
+    tau = tuple(mixed_three_tangle(p, n, th).value for p in ps)
+    margin = tuple(a - b - c for a, b, c in zip(one, conc, tau))
     return CkwAudit(
         n=n,
         p=ps,
@@ -325,5 +353,5 @@ def ckw_audit(n, grid_size):
         conc_sq_sum=conc,
         tau3=tau,
         margin=margin,
-        min_margin=float(margin.min()),
+        min_margin=min(margin),
     )

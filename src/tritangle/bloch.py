@@ -8,7 +8,8 @@ import math
 import numpy as np
 
 from .errors import BadDimensionError, BadParamsError, EmptyInputError, OutOfSpanError
-from .family import SYMMETRIC_PHASES, check_n, ghz, w, w_tilde, z_state
+from .family import SYMMETRIC_PHASES, ghz, w, w_tilde, z_state
+from .params import check_n
 from .states import DensityMatrix, check_density
 
 _SQRT3 = math.sqrt(3.0)

@@ -1,6 +1,11 @@
 """Command-line front end: threshold tables, curve and CKW data, single-point
 queries, decomposition construction, zero-tangle decisions, and the
-decomposition-search oracle."""
+decomposition-search oracle.
+
+At module level only the closed forms are imported, which need no numpy; each
+command that builds states or searches imports those modules itself, so
+table1, ckw and tangle run without numpy.
+"""
 
 import argparse
 import json
@@ -8,26 +13,9 @@ import sys
 from dataclasses import asdict
 from enum import Enum
 
-import numpy as np
-
-from .analytic import (
-    ckw_audit,
-    mixed_three_tangle,
-    solve_p0,
-    thresholds,
-)
-from .bloch import (
-    bloch_vector,
-    hull_residual,
-    in_zero_polyhedron,
-    qutrit_project,
-    zero_tangle_vertices,
-)
+from .analytic import ckw_audit, mixed_three_tangle, solve_p0, thresholds
 from .errors import OutOfSpanError
-from .family import optimal_decomposition, rho
-from .measures import ensemble_average_tangle
-from .roof import characteristic_curve, lower_convex_envelope, min_avg_tangle, rank_of
-from .states import check_density, density_from_ensemble, load_density_matrix, trace_distance
+from .params import check_p
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,14 +28,17 @@ _MARGIN_FLOOR = -1e-9
 
 def _fmt(x):
     """Every printed value: floats at 17 significant digits, so they read back
-    exactly; bools as true/false; enums by value; arrays space-separated."""
-    if isinstance(x, (bool, np.bool_)):
+    exactly; bools as true/false; enums by value; sequences space-separated.
+    numpy scalars and arrays print as the Python values their tolist() gives."""
+    if hasattr(x, "tolist"):
+        x = x.tolist()
+    if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, Enum):
         return x.value
     if isinstance(x, (str, int)):
         return str(x)
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (list, tuple)):
         return " ".join(map(_fmt, x))
     return f"{float(x):.17g}"
 
@@ -75,6 +66,10 @@ def cmd_table1(args):
 
 
 def cmd_curves(args):
+    import numpy as np
+
+    from .roof import characteristic_curve, lower_convex_envelope
+
     n = args.n
     curve = characteristic_curve(n, p_points=args.p_points)
     env = lower_convex_envelope(np.column_stack([curve.p, curve.tau_min]))
@@ -100,13 +95,18 @@ def cmd_tangle(args):
 
 
 def cmd_decompose(args):
+    from .family import optimal_decomposition, rho
+    from .measures import ensemble_average_tangle
+    from .states import density_from_ensemble, trace_distance
+
     n = args.n
     th = thresholds(n)
-    ens = optimal_decomposition(args.p, n, th)
-    target = rho(args.p, (1.0 - args.p) / n)
+    p = check_p(args.p)  # one clipped p for the ensemble and the target it rebuilds
+    ens = optimal_decomposition(p, n, th)
+    target = rho(p, (1.0 - p) / n)
     err = trace_distance(density_from_ensemble(ens), target)
     avg = ensemble_average_tangle(ens)
-    analytic = mixed_three_tangle(args.p, n, th)
+    analytic = mixed_three_tangle(p, n, th)
     rec = {**_n_flag(n), "members": len(ens)}
     for j, (wt, s) in enumerate(ens):
         rec[f"weight_{j}"] = wt
@@ -117,6 +117,15 @@ def cmd_decompose(args):
 
 
 def cmd_vanishing(args):
+    from .bloch import (
+        bloch_vector,
+        hull_residual,
+        in_zero_polyhedron,
+        qutrit_project,
+        zero_tangle_vertices,
+    )
+    from .states import check_density, load_density_matrix
+
     rho_in = check_density(load_density_matrix(args.infile), 8, "vanishing")
     n = args.n
     sigma = qutrit_project(rho_in)
@@ -136,6 +145,9 @@ def cmd_vanishing(args):
 
 
 def cmd_oracle(args):
+    from .roof import min_avg_tangle, rank_of
+    from .states import check_density, load_density_matrix
+
     rho_in = check_density(load_density_matrix(args.infile), 8, "oracle")
     r = rank_of(rho_in)
     m = args.m if args.m is not None else min(r + 2, 8)
@@ -159,6 +171,10 @@ def cmd_oracle(args):
 
 def _family_parameters(rho_in):
     """(p, effective n) when the input is a diagonal GHZ/W/W~ mixture, else None."""
+    import numpy as np
+
+    from .bloch import qutrit_project
+
     try:
         sigma = qutrit_project(rho_in)
     except OutOfSpanError:

@@ -3,17 +3,12 @@ mixture rho(p,q), its symmetric ensemble, region-wise optimal decompositions,
 and the pi(p,n) side family."""
 
 import math
-import numbers
 
 import numpy as np
 
 from .errors import BadParamsError
+from .params import N_MAX, check_n, check_p, check_pq, check_thresholds
 from .states import DensityMatrix, Ensemble, PureState3
-
-PARAM_TOL = 1e-12
-# largest accepted n: above it the threshold closed forms overflow
-# (alpha_I_dd warns from about 5e152, n * n overflows from about 1.3e154)
-N_MAX = 1e150
 
 _GHZ = np.zeros(8, dtype=complex)
 _GHZ[[0, 7]] = 1.0 / math.sqrt(2.0)
@@ -51,54 +46,6 @@ def w():
 def w_tilde():
     """(|110> + |101> + |011>)/sqrt(3); W with all qubits flipped."""
     return PureState3(_W_TILDE)
-
-
-# The parameter checks every module shares. Each is written as "not inside the
-# accepted range", so NaN is refused as well.
-
-
-def check_n(n):
-    """n as a float in [1, N_MAX]; values within PARAM_TOL below 1 become 1."""
-    if not 1.0 - PARAM_TOL <= n <= N_MAX:
-        raise BadParamsError(f"n must be a number in [1, {N_MAX:g}], got {n!r}")
-    return max(float(n), 1.0)
-
-
-def check_p(p):
-    """p as a float in [0, 1]; values within PARAM_TOL outside are clipped."""
-    if not -PARAM_TOL <= p <= 1.0 + PARAM_TOL:
-        raise BadParamsError(f"p must lie in [0, 1], got {p!r}")
-    return min(max(float(p), 0.0), 1.0)
-
-
-def check_count(name, value, lo, hi=None):
-    """value as an int in [lo, hi]; numpy integers pass, bools and non-integers
-    do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise BadParamsError(f"{name} must be an integer, got {value!r}")
-    if hi is not None and not lo <= value <= hi:
-        raise BadParamsError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
-    if value < lo:
-        raise BadParamsError(f"{name} must be >= {lo}, got {value!r}")
-    return int(value)
-
-
-def check_pq(p, q):
-    """(p, q, r) as floats with r = 1 - p - q: p and q within PARAM_TOL below 0
-    become 0 first, then r is clipped at 0; every (p, q)-taking function uses
-    this one triple."""
-    if not (p >= -PARAM_TOL and q >= -PARAM_TOL and p + q <= 1.0 + PARAM_TOL):
-        raise BadParamsError(f"require 0 <= p, 0 <= q, p + q <= 1; got p={p!r}, q={q!r}")
-    p = max(float(p), 0.0)
-    q = max(float(q), 0.0)
-    return p, q, max(1.0 - p - q, 0.0)
-
-
-def check_thresholds(th, n):
-    """th, if it is the Thresholds record solved for n (within 1e-9)."""
-    if not abs(th.n - n) <= 1e-9:
-        raise BadParamsError(f"thresholds were solved for n={th.n}, not n={n}")
-    return th
 
 
 def z_state(p, q, phi1=0.0, phi2=0.0):
@@ -189,7 +136,12 @@ def pi_state(p, n):
     checked by check_n.
     """
     p = check_p(p)
-    qn = 0.0 if n == math.inf else (1.0 - p) / check_n(n)
+    try:
+        qn = 0.0 if n == math.inf else (1.0 - p) / check_n(n)
+    except BadParamsError:
+        raise BadParamsError(
+            f"n must be math.inf or a number in [1, {N_MAX:g}], got {n!r}"
+        ) from None
     rest = (1.0 - p) - qn
     mat = (
         p * np.outer(_GHZ, _GHZ.conj())

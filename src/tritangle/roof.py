@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
-from .family import check_count, check_n, z_tangle_coefficients
+from .family import z_tangle_coefficients
 from .measures import _hyperdet
 # unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in roof
 from .measures import tangle_from_amps  # noqa: F401
+from .params import check_count, check_n
 from .states import Ensemble, check_density, eigh_desc, pure_from_amplitudes
 
 RANK_TOL = 1e-12

@@ -224,6 +224,30 @@ def test_alpha_II_values():
             alpha_II(bad, 2.0, 0.8)
 
 
+def test_scalar_closed_forms_match_the_array_path():
+    # a Python-float p is evaluated with math; it must give the bits of the
+    # numpy path on a 0-d array (a long array is not the reference: numpy's
+    # vectorised ** differs from its own 0-d result in the last ulp at times)
+    rng = np.random.default_rng(20081019)
+    named = [1.0, 1.0 + 1e-9, 1.37, 2.0, 3.0, 10.0, 1e6, 1e150]
+    ns = named + (10.0 ** rng.uniform(0.0, 150.0, 6)).tolist() + rng.uniform(1.0, 4.0, 6).tolist()
+    points = 0
+    for n in ns:
+        th = thresholds(n)
+        ps = [0.0, 1.0, 1e-300, 1.0 - 2.0**-53, th.p0, th.p1] + rng.uniform(0.0, 1.0, 1000).tolist()
+        for p in ps:
+            a1 = alpha_I(p, n)
+            a2 = alpha_II(p, n, th.p1)
+            assert type(a1) is float and type(a2) is float
+            want1 = float(alpha_I(np.asarray(p), n))
+            want2 = float(alpha_II(np.asarray(p), n, th.p1))
+            assert (a1.hex(), a2.hex()) == (want1.hex(), want2.hex())
+            want = 0.0 if p <= th.p0 else want1 if p <= th.p1 else want2
+            assert mixed_three_tangle(p, n, th).value.hex() == want.hex()
+            points += 1
+    assert points >= 20_000
+
+
 def test_p1_tangency():
     # chord slope equals the curve slope at p1, central difference h=1e-6
     h = 1e-6
@@ -364,8 +388,19 @@ def test_ckw_audit_margins():
         audit = ckw_audit(n, 1001)
         assert isinstance(audit, CkwAudit)
         assert audit.min_margin >= -1e-9
-        assert np.max(np.abs(audit.margin - (audit.one_tangle - audit.conc_sq_sum - audit.tau3))) == 0.0
+        one, conc, tau, margin = map(
+            np.asarray, (audit.one_tangle, audit.conc_sq_sum, audit.tau3, audit.margin)
+        )
+        assert np.max(np.abs(margin - (one - conc - tau))) == 0.0
         assert audit.margin[-1] == 0.0  # GHZ endpoint saturates the inequality
+
+
+def test_ckw_audit_grid_is_linspace():
+    # the columns are tuples of floats; p holds np.linspace's points bit for bit
+    for k in (2, 3, 7, 11, 101, 1001, 4097):
+        audit = ckw_audit(3.0, k)
+        assert all(type(x) is float for x in audit.p + audit.margin)
+        assert [x.hex() for x in audit.p] == [x.hex() for x in np.linspace(0.0, 1.0, k).tolist()]
 
 
 def test_ckw_holds_over_the_whole_triangle():

@@ -182,6 +182,15 @@ def test_decompose_plateau_boundary(capsys):
     assert abs(float(kv["average_tangle"]) - float(kv["analytic"])) <= 1e-9
 
 
+@pytest.mark.parametrize("outside, edge", [("-1e-13", "0"), ("1.0000000000001", "1")])
+def test_decompose_clips_p_once(capsys, outside, edge):
+    # a p a rounding outside [0, 1] builds the ensemble and the target it is
+    # checked against from the same clipped p
+    got = run(capsys, ["decompose", f"--p={outside}", "--n", "2"])
+    assert got == run(capsys, ["decompose", "--p", edge, "--n", "2"])
+    assert parse_kv(got[1])["reconstruction_error"] == "0"
+
+
 def test_decompose_zero_region(capsys):
     code, out, err = run(capsys, ["decompose", "--p", "0.3", "--n", "2"])
     assert code == cli.EXIT_OK

@@ -1,4 +1,5 @@
-"""A cold process imports no scipy module, whatever tritangle command it runs."""
+"""A cold process imports no scipy module, whatever tritangle command it runs,
+and no numpy module for `import tritangle` and the closed-form commands."""
 
 import os
 import subprocess
@@ -18,10 +19,14 @@ def run_python(*args):
     )
 
 
-def scipy_imports(importtime_log):
-    """Names of scipy modules in a -X importtime log."""
+def imports_of(package, importtime_log):
+    """Names of the package's modules in a -X importtime log."""
     names = (line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines())
-    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+    return [name for name in names if name == package or name.startswith(package + ".")]
+
+
+def scipy_imports(importtime_log):
+    return imports_of("scipy", importtime_log)
 
 
 def test_import_loads_no_scipy():
@@ -48,3 +53,48 @@ def test_tangle_command_loads_no_scipy(tmp_path):
         assert proc.stdout.startswith(head)
         assert scipy_imports(proc.stderr) == []
 
+
+
+def test_closed_form_commands_load_no_numpy():
+    proc = run_python("-X", "importtime", "-c", "import tritangle")
+    assert proc.returncode == 0, proc.stderr
+    assert imports_of("numpy", proc.stderr) == []
+    commands = {
+        ("tangle", "--p", "0.8", "--n", "3"): "region=ALPHA_I\nvalue=",
+        ("table1",): "n=1\np0=",
+        ("table1", "--json"): "[\n",
+        ("ckw", "--n", "3", "--p-points", "11"): "p,one_tangle,conc_sq_sum,tau3,margin\n",
+    }
+    for command, head in commands.items():
+        proc = run_python("-X", "importtime", "-m", "tritangle.cli", *command)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(head)
+        assert "tritangle.analytic" in proc.stderr
+        assert imports_of("numpy", proc.stderr) == []
+
+
+def test_lazy_exports_resolve():
+    # in a fresh process, before any export has been looked up
+    code = """
+import tritangle
+names = tritangle.__all__
+assert len(set(names)) == len(names)
+missing = set(names) - set(dir(tritangle))
+assert not missing, missing
+for name in names:
+    getattr(tritangle, name)
+namespace = {}
+exec("from tritangle import *", namespace)
+assert all(namespace[name] is getattr(tritangle, name) for name in names)
+try:
+    tritangle.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("no_such_name resolved")
+from tritangle import cli
+print(len(names))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 66  # the names the package exported before it went lazy

@@ -124,6 +124,12 @@ def test_pi_state_refuses_n_above_the_ceiling():
     assert pi_state(0.5, 1e150).dim == 8
 
 
+def test_pi_state_message_names_inf():
+    # pi_state accepts n = inf as well, and its message says so
+    with pytest.raises(BadParamsError, match=r"n must be math\.inf or a number in \[1, 1e\+150\], got 0\.5"):
+        pi_state(0.5, 0.5)
+
+
 def test_z_tangle_closed_corners():
     assert abs(z_tangle_closed(1.0, 0.0, 0.0, 0.0) - 1.0) <= 1e-15
     assert z_tangle_closed(0.0, 1.0, 0.0, 0.0) <= 1e-15
