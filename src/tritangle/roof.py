@@ -2,16 +2,13 @@
 envelopes, and an ensemble-decomposition search upper-bounding the mixed-state
 three-tangle."""
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParamsError, EmptyInputError, NotIsometryError
-from .family import z_tangle_coefficients
-from .measures import _hyperdet
+from .family import z_tangle_closed, z_tangle_coefficients
 # unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in roof
 from .measures import tangle_from_amps  # noqa: F401
 from .params import check_count, check_n
@@ -103,7 +100,8 @@ def characteristic_curve(n, p_points=401):
     golden-section steps from each of the _SIGMA_BASINS lowest local minima of
     the grid. Each search starts with its grid minimum as its lower interior
     point and always keeps the best point it has seen, so no result lies above
-    the grid's.
+    the grid's. tau_min is z_tangle_closed at the phases returned, so it is the
+    tangle of a state and exact where that does not depend on the phases.
     """
     n = check_n(n)
     p_points = check_count("p_points", p_points, 2)
@@ -129,11 +127,10 @@ def characteristic_curve(n, p_points=401):
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
     best = np.argmin(np.minimum(f1, f2), axis=1)
     sigma = np.where(f1 < f2, x1, x2)[np.arange(p_points), best]
-    tau, psi = _slice_minimum(sigma, *coef[..., 0])
-    phi1 = (psi + 1.5 * sigma) / 3.0
-    return CharCurve(
-        n=n, p=ps, tau_min=tau, phi1=np.mod(phi1, _TWO_PI), phi2=np.mod(sigma - phi1, _TWO_PI)
-    )
+    phi1 = (_slice_minimum(sigma, *coef[..., 0])[1] + 1.5 * sigma) / 3.0
+    phi1, phi2 = np.mod(phi1, _TWO_PI), np.mod(sigma - phi1, _TWO_PI)
+    tau = np.array([z_tangle_closed(p, (1.0 - p) / n, f1, f2) for p, f1, f2 in zip(ps, phi1, phi2)])
+    return CharCurve(n=n, p=ps, tau_min=tau, phi1=phi1, phi2=phi2)
 
 
 _COLLINEAR_TOL = 1e-12
@@ -269,54 +266,39 @@ def _retract(mat):
     return q
 
 
-@functools.cache
-def _hyperdet_tensor():
-    """24 T for the symmetric tensor T with D(t) = sum T_abcd t_a t_b t_c t_d,
-    an 8 x 8 x 8 x 8 array of integers, built on first use.
+# e (x) e with e = [[0, 1], [-1, 0]]: for the 4 entries a of a 2 x 2 slice A,
+# a^T (e (x) e) a = 2 det A
+_EPS_EPS = np.kron([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]])
 
-    Polarization gives 24 T_ijkl = sum over the subsets S of (i, j, k, l) of
-    (-1)^(4 - |S|) D(sum of e_s over S): D is evaluated by _hyperdet itself, at
-    vectors of small integers where its value is an exact integer. T is
-    symmetric, so each of the 330 sorted index quadruples fills every
-    permutation of itself.
+
+def _cayley_forms(basis):
+    """The complex-symmetric r x r matrices (S00, S11, S01), stacked, with
+    B_kl(x) = x^T S_kl x for the amplitudes t = x @ basis of an r x 8 basis.
+
+    Cayley's form of the hyperdeterminant: with A_0, A_1 the 2 x 2 slices of t
+    at the first qubit's 0 and 1, B_kk = 2 det A_k and B_01 = det(A_0 + A_1) -
+    det A_0 - det A_1, and D(t) = B_01^2 - B_00 B_11.
     """
-    quads = np.array(list(itertools.combinations_with_replacement(range(8), 4)))
-    subsets = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
-    points = (subsets @ np.eye(8)[quads]).reshape(-1, 8)
-    values = _hyperdet(*points.T).reshape(len(quads), len(subsets))
-    polar = values @ (-1.0) ** (4 - subsets.sum(axis=1))
-    lookup = np.zeros(8**4, dtype=int)
-    lookup[np.ravel_multi_index(quads.T, (8,) * 4)] = np.arange(len(quads))
-    every = np.sort(np.indices((8,) * 4).reshape(4, -1), axis=0)
-    tensor = polar[lookup[np.ravel_multi_index(every, (8,) * 4)]].reshape((8,) * 4)
-    tensor.setflags(write=False)  # every caller shares this one array
-    return tensor
+    slices = basis.reshape(-1, 2, 4)
+    pair = np.einsum("ika,ab,jlb->klij", slices, _EPS_EPS, slices)
+    return np.stack((pair[0, 0], pair[1, 1], 0.5 * (pair[0, 1] + pair[1, 0])))
 
 
-def _restricted_quartic(basis):
-    """The symmetric r^2 x r^2 matrix M with D(x @ basis) = (x kron x)^T M (x kron x)
-    for every x in C^r, from the r x 8 basis."""
-    r = basis.shape[0]
-    form = _hyperdet_tensor()
-    for _ in range(4):
-        # contract the leading amplitude index; the new range index goes last
-        form = np.tensordot(form, basis, axes=(0, 1))
-    return form.reshape(r * r, r * r) / 24.0
+def _cayley_values(x, forms):
+    """S_kl x and B_kl(x) for each row x of a (..., r) stack, as (N, 3, r) and
+    (N, 3) arrays in the order of forms; each S_kl is symmetric, so one flat
+    matmul of the rows with the three side by side gives every S_kl x."""
+    r = x.shape[-1]
+    rows = x.reshape(-1, r)
+    sx = (rows @ forms.transpose(1, 0, 2).reshape(r, 3 * r)).reshape(-1, 3, r)
+    return sx, np.einsum("nkr,nr->nk", sx, rows)
 
 
-def _quartic_rows(x, quartic):
-    """x kron x and M (x kron x) for each row x of a (..., r) stack, as (N, r^2)
-    arrays: one flat matmul runs far faster than a stacked one."""
-    rows = x.reshape(-1, x.shape[-1])
-    xx = (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
-    return xx, xx @ quartic
-
-
-def restricted_hyperdet(x, quartic):
+def restricted_hyperdet(x, forms):
     """Hyperdeterminant D(x @ basis) of a (..., r) stack of rows x, from the
-    quartic of _restricted_quartic(basis)."""
-    xx, mxx = _quartic_rows(x, quartic)
-    return np.vecdot(xx.conj(), mxx).reshape(x.shape[:-1])
+    forms of _cayley_forms(basis)."""
+    b00, b11, b01 = _cayley_values(x, forms)[1].T
+    return (b01 * b01 - b00 * b11).reshape(x.shape[:-1])
 
 
 def _weights(u, lam):
@@ -327,25 +309,24 @@ def _weights(u, lam):
     return np.where(kept, ws, 1.0), kept
 
 
-def _average_tangle(u, quartic, lam):
+def _average_tangle(u, forms, lam):
     """F(u) = sum_j 4|D_j| / w_j for a stack of isometries; a member at or below
     the weight floor adds 0."""
     ws, kept = _weights(u, lam)
-    det = restricted_hyperdet(u, quartic)
+    det = restricted_hyperdet(u, forms)
     return np.sum(np.where(kept, 4.0 * np.abs(det) / ws, 0.0), axis=-1)
 
 
-def _restricted_partials(x, quartic):
-    """D and its holomorphic partials dD/dx = 4 N x for each row x of a (..., r)
-    stack, where N is the r x r reshape of M (x kron x)."""
-    r = x.shape[-1]
-    _, mxx = _quartic_rows(x, quartic)
-    xc = x.reshape(-1, r).conj()
-    nx = np.vecdot(xc[:, None, :], mxx.reshape(-1, r, r))
-    return np.vecdot(xc, nx).reshape(x.shape[:-1]), 4.0 * nx.reshape(x.shape)
+def _restricted_partials(x, forms):
+    """D and its holomorphic partials dD/dx = 2 (2 B_01 S_01 - B_11 S_00 -
+    B_00 S_11) x for each row x of a (..., r) stack."""
+    sx, b = _cayley_values(x, forms)
+    b00, b11, b01 = b.T[..., None]
+    partials = 2.0 * (2.0 * b01 * sx[:, 2] - b11 * sx[:, 0] - b00 * sx[:, 1])
+    return (b01 * b01 - b00 * b11).reshape(x.shape[:-1]), partials.reshape(x.shape)
 
 
-def _riemannian_gradient(u, quartic, lam):
+def _riemannian_gradient(u, forms, lam):
     """Gradient of F on the isometries, in the metric Re tr(a^H b).
 
     Row j of u is a member's x, with w = sum_i l_i |x_i|^2. With Wirtinger
@@ -354,7 +335,7 @@ def _riemannian_gradient(u, quartic, lam):
     projected onto the tangent space at u.
     """
     ws, kept = _weights(u, lam)
-    det, partials = _restricted_partials(u, quartic)
+    det, partials = _restricted_partials(u, forms)
     size = np.abs(det)
     # D / |D| by real divisions: 1/|D| overflows where |D| is subnormal, and
     # D = 0 exactly where |D| = 0
@@ -396,7 +377,7 @@ def _two_loop(g, pairs, rho, gamma):
     return -q.view(complex).reshape(g.shape)
 
 
-def _lbfgs_lockstep(u, quartic, lam):
+def _lbfgs_lockstep(u, forms, lam):
     """Riemannian L-BFGS from every isometry of the stack u, all restarts
     stepped together.
 
@@ -417,8 +398,8 @@ def _lbfgs_lockstep(u, quartic, lam):
     Returns (u, values, nfev, converged) in restart order.
     """
     n_restarts, m, r = u.shape
-    f = _average_tangle(u, quartic, lam)
-    g = _riemannian_gradient(u, quartic, lam)
+    f = _average_tangle(u, forms, lam)
+    g = _riemannian_gradient(u, forms, lam)
     d = -g
     # slot _MEMORY holds the newest step's pair until it is stored or dropped
     pairs = np.zeros((n_restarts, m, 2, _MEMORY + 1, r), dtype=complex)
@@ -442,7 +423,7 @@ def _lbfgs_lockstep(u, quartic, lam):
             a = alpha[trying, None] * _HALVINGS
             slopes = a * slope[trying, None]
             trial = _retract(u[trying, None] + a[..., None, None] * d[trying, None])
-            f_trial = _average_tangle(trial, quartic, lam)
+            f_trial = _average_tangle(trial, forms, lam)
             nfev[rows[trying]] += _HALVINGS.size
             ok = (f_trial <= f[trying, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
             hit = ok.any(axis=1)
@@ -464,7 +445,7 @@ def _lbfgs_lockstep(u, quartic, lam):
             )
             if not rows.size:
                 break
-        g_new = _riemannian_gradient(u, quartic, lam)
+        g_new = _riemannian_gradient(u, forms, lam)
         # the stored pairs and the new one, (step d, old g), moved to the new
         # point in one projection
         pairs[:, :, 0, -1] = step[:, None, None] * d
@@ -491,9 +472,9 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     the least value wins, and upper_bound is that restart's own value. All
     restarts run together, each exactly as it would alone: a Riemannian L-BFGS
     on the m x r isometries with the analytic gradient of the average tangle.
-    Both come from the hyperdeterminant restricted to the range of rho, a
-    quartic form in a member's r mixing coefficients, so no member is formed in
-    8 amplitudes.
+    Both come from the hyperdeterminant restricted to the range of rho, in
+    Cayley's form B_01^2 - B_00 B_11 with three quadratic forms in a member's r
+    mixing coefficients, so no member is formed in 8 amplitudes.
     """
     check_density(rho, 8, "min_avg_tangle")
     r = rank_of(rho)
@@ -509,7 +490,7 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     x0s = np.array([np.random.default_rng(s).standard_normal(2 * m * r) for s in seeds])
     mr = m * r
     mats = x0s[:, :mr].reshape(-1, m, r) + 1j * x0s[:, mr:].reshape(-1, m, r)
-    u, funs, nfev, converged = _lbfgs_lockstep(_retract(mats), _restricted_quartic(basis), lam)
+    u, funs, nfev, converged = _lbfgs_lockstep(_retract(mats), _cayley_forms(basis), lam)
     best = int(np.argmin(funs))  # the first of the minimal values
     ens = hjw_ensemble(rho, u[best])
     return DecompositionSearchResult(

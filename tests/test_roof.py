@@ -72,6 +72,15 @@ def test_characteristic_curve_phases_give_the_minimum(n):
         assert abs(z_tangle_closed(p, (1.0 - p) / n, f1, f2) - tau) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1.0, 1.37, 2.0, 3.0, 10.0])
+def test_characteristic_curve_is_the_tangle_at_its_phases(n):
+    curve = characteristic_curve(n, p_points=401)
+    for p, tau, f1, f2 in zip(curve.p, curve.tau_min, curve.phi1, curve.phi2):
+        assert tau == z_tangle_closed(p, (1.0 - p) / n, f1, f2)
+    # at p = 1 the state is GHZ whatever the phases
+    assert curve.tau_min[-1] == 1.0
+
+
 def test_characteristic_curve_finds_thin_zeros():
     # at n = 2 the zero set of the tangle on the phase torus is a thin curve
     # for these p; p = 0.25 is a zero where the curve only touches

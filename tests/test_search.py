@@ -21,6 +21,8 @@ from tritangle import (
     tangle_from_amps,
     thresholds,
     trace_distance,
+    w,
+    w_tilde,
 )
 from tritangle import roof
 from tritangle.measures import _hyperdet
@@ -39,9 +41,9 @@ def search_basis(target):
 
 
 def search_form(target):
-    # the restricted quartic and the member weights l_i that the search runs on
+    # the Cayley forms and the member weights l_i that the search runs on
     basis, lam = search_basis(target)
-    return roof._restricted_quartic(basis), lam
+    return roof._cayley_forms(basis), lam
 
 
 def random_rank4_state(seed):
@@ -83,16 +85,17 @@ def kernel_bases():
 KERNEL_BASES = dict(kernel_bases())
 
 
-def test_hyperdet_tensor_is_integer_and_exact():
-    tensor = roof._hyperdet_tensor()
-    assert tensor.shape == (8, 8, 8, 8)
-    assert np.array_equal(tensor, np.round(tensor))
-    for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0)):
-        assert np.array_equal(tensor, tensor.transpose(perm))
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_restricted_hyperdet_is_exact_on_integers(r):
     # at small integers every sum is an exact integer, so both routes agree exactly
-    vecs = np.random.default_rng(69).integers(-3, 4, (500, 8)).astype(float)
-    polarized = np.einsum("abcd,na,nb,nc,nd->n", tensor, vecs, vecs, vecs, vecs)
-    assert np.array_equal(polarized, 24.0 * _hyperdet(*vecs.T))
+    rng = np.random.default_rng(69 + r)
+    for _ in range(20):
+        basis = rng.integers(-3, 4, (r, 8)) + 1j * rng.integers(-3, 4, (r, 8))
+        x = rng.integers(-3, 4, (100, r)) + 1j * rng.integers(-3, 4, (100, r))
+        forms = roof._cayley_forms(basis)
+        expect = _hyperdet(*(x @ basis).T)
+        assert np.array_equal(roof.restricted_hyperdet(x, forms), expect)
+        assert np.array_equal(roof._restricted_partials(x, forms)[0], expect)
 
 
 @pytest.mark.parametrize("name", list(KERNEL_BASES))
@@ -101,23 +104,39 @@ def test_restricted_hyperdet_matches_amplitude_route(name):
     r = basis.shape[0]
     rng = np.random.default_rng(70)
     x = rng.standard_normal((3, 100, r)) + 1j * rng.standard_normal((3, 100, r))
-    quartic = roof._restricted_quartic(basis)
-    assert quartic.shape == (r * r, r * r)
-    got = roof.restricted_hyperdet(x, quartic)
+    forms = roof._cayley_forms(basis)
+    assert forms.shape == (3, r, r)
+    got = roof.restricted_hyperdet(x, forms)
     t = x @ basis
     expect = _hyperdet(*np.moveaxis(t, -1, 0))
     # |D| is at most |t|^4 / 4: the bound is relative to the member's scale
     scale = np.sum(np.abs(t) ** 2, axis=-1) ** 2
     assert got.shape == (3, 100)
     assert np.max(np.abs(got - expect) / scale) <= 1e-14
-    det, _ = roof._restricted_partials(x, quartic)
+    det, _ = roof._restricted_partials(x, forms)
     assert np.max(np.abs(det - expect) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hyperdet_on_the_family_span_is_z3_invariant(k):
+    # x = (a, b, c) over (GHZ, W, W~): a^4, a^2 bc, b^3, c^3 and b^2 c^2 are
+    # unchanged by b -> omega^k b, c -> omega^2k c with omega = e^{2 pi i / 3}
+    basis = np.array([ghz().amps, w().amps, w_tilde().amps])
+    forms = roof._cayley_forms(basis)
+    rng = np.random.default_rng(74)
+    x = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    turned = x * np.exp(2j * np.pi * k * np.arange(3) / 3.0)
+    scale = np.sum(np.abs(x) ** 2, axis=-1) ** 2
+    det = roof.restricted_hyperdet(x, forms)
+    assert np.max(np.abs(roof.restricted_hyperdet(turned, forms) - det) / scale) <= 1e-14
+    tau = tangle_from_amps(x @ basis)
+    assert np.max(np.abs(tangle_from_amps(turned @ basis) - tau) / scale) <= 1e-14
 
 
 @pytest.mark.parametrize("name", list(KERNEL_STATES))
 def test_average_tangle_matches_amplitude_route(name):
     basis, lam = search_basis(KERNEL_STATES[name])
-    quartic = roof._restricted_quartic(basis)
+    forms = roof._cayley_forms(basis)
     r = lam.size
     rng = np.random.default_rng(71)
     for m in sorted({r, 5, 8}):
@@ -126,7 +145,7 @@ def test_average_tangle_matches_amplitude_route(name):
         ws = np.sum(np.abs(t) ** 2, axis=-1)
         kept = ws > 1e-14
         amplitude_route = np.sum(np.where(kept, tangle_from_amps(t) / np.where(kept, ws, 1.0), 0.0), axis=-1)
-        assert np.max(np.abs(roof._average_tangle(u, quartic, lam) - amplitude_route)) <= 2e-15
+        assert np.max(np.abs(roof._average_tangle(u, forms, lam) - amplitude_route)) <= 2e-15
 
 
 def test_restricted_partials_match_central_differences():
@@ -134,14 +153,14 @@ def test_restricted_partials_match_central_differences():
     h = 1e-5
     for basis in KERNEL_BASES.values():
         r = basis.shape[0]
-        quartic = roof._restricted_quartic(basis)
+        forms = roof._cayley_forms(basis)
         x = rng.standard_normal((400, r)) + 1j * rng.standard_normal((400, r))
-        _, grad = roof._restricted_partials(x, quartic)
+        _, grad = roof._restricted_partials(x, forms)
         scale = np.linalg.norm(grad, axis=-1)
 
         def central(step):
-            ahead = roof.restricted_hyperdet(x + step, quartic)
-            return (ahead - roof.restricted_hyperdet(x - step, quartic)) / (2.0 * h)
+            ahead = roof.restricted_hyperdet(x + step, forms)
+            return (ahead - roof.restricted_hyperdet(x - step, forms)) / (2.0 * h)
 
         for k in range(r):
             step = np.zeros(r)
