@@ -8,15 +8,12 @@ arguments, so the scalar closed forms start without it.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadParamsError, NoRootError
+from .errors import BadParamsError
 from .params import PARAM_TOL, check_count, check_n, check_p, check_pq, check_thresholds
 
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
 _ORDER_TOL = 1e-9
 
 
@@ -145,68 +142,13 @@ def alpha_II(p, n, p1):
     return val
 
 
-# unused here, but perfbench/tracing.py and tests/test_trace_contract.py look it up in analytic
-def brentq(f, a, b, xtol):
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on first use. Nothing in the package
+    calls it; perfbench/tracing.py and tests/test_trace_contract.py still look
+    it up, and it goes with them (ROADMAP item 2)."""
+    from scipy.optimize import brentq as scipy_brentq
 
-    A line-for-line port of scipy 1.17's C brentq with rtol = 4 eps: the same
-    steps give the same root bit for bit, without importing scipy.optimize.
-    Raises NoRootError when f(a) and f(b) have the same sign, when f returns
-    NaN, or when 100 iterations do not converge.
-    """
-
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NoRootError(f"{f.__name__!r} is NaN at x={x!r}")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    # C tests signbit; with zeros returned and NaN refused, < 0 is the same test
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NoRootError(f"{f.__name__!r} has the same sign at {xpre!r} and {xcur!r}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # in C a zero den gives an infinite or NaN step, which bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = call(xcur)
-    raise NoRootError(f"{f.__name__!r}: no convergence after {_BRENT_MAXITER} iterations")
+    return scipy_brentq(*args, **kwargs)
 
 
 def _largest_quartic_root(a3, a2, a1, a0):

@@ -14,7 +14,8 @@ class BadDimensionError(BadParamsError):
 
 
 class NoRootError(RuntimeError):
-    """brentq found no root: no sign change, a NaN, or no convergence."""
+    """A root finder found no root. Kept as a public name; nothing in the
+    package raises it any more."""
 
 
 class NotIsometryError(ValueError):

@@ -7,9 +7,6 @@ from .states import check_density, partial_trace, partial_trace_pair
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_Y, _Y)
 
-# roundoff floor for clamping small negatives before square roots
-_CLAMP = 1e-10
-
 
 def tangle_from_amps(amps):
     """Three-tangle 4|d1 - 2 d2 + 4 d3| of (unnormalized) amplitude rows.

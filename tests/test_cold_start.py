@@ -29,23 +29,33 @@ def scipy_imports(importtime_log):
     return imports_of("scipy", importtime_log)
 
 
+SUBMODULES = ("analytic", "bloch", "cli", "errors", "family", "measures", "params", "roof", "states")
+
+
 def test_import_loads_no_scipy():
-    proc = run_python("-X", "importtime", "-c", "import tritangle.cli")
+    code = "import " + ", ".join("tritangle." + name for name in SUBMODULES)
+    proc = run_python("-X", "importtime", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert "tritangle.cli" in proc.stderr
+    for name in SUBMODULES:
+        assert "tritangle." + name in proc.stderr
     assert scipy_imports(proc.stderr) == []
 
 
 def test_tangle_command_loads_no_scipy(tmp_path):
-    # the commands that solve thresholds, p_star included, and curves' phase search
+    # every command: the threshold solves, p_star included, curves' phase
+    # search, decompose's ensemble and oracle's convex-roof search
     state = str(tmp_path / "state.txt")
     save_density_matrix(rho(0.3, 0.35), state)
+    family_state = str(tmp_path / "family.txt")
+    save_density_matrix(rho(0.9, 0.05), family_state)
     commands = {
         ("tangle", "--p", "0.8", "--n", "3"): "region=ALPHA_I\nvalue=",
         ("table1",): "n=1\np0=",
         ("ckw", "--n", "3", "--p-points", "11"): "p,one_tangle,conc_sq_sum,tau3,margin\n",
         ("vanishing", "--in", state, "--n", "2"): "p0=0.75\nvanishing=true\n",
         ("curves", "--n", "2", "--p-points", "11"): "p,tau_min,tau_analytic,envelope\n",
+        ("decompose", "--p", "0.3", "--n", "2"): "members=5\nweight_0=",
+        ("oracle", "--in", family_state, "--restarts", "2"): "rank=3\nm=5\n",
     }
     for command, head in commands.items():
         proc = run_python("-X", "importtime", "-m", "tritangle.cli", *command)

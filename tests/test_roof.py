@@ -81,6 +81,17 @@ def test_characteristic_curve_is_the_tangle_at_its_phases(n):
     assert curve.tau_min[-1] == 1.0
 
 
+@pytest.mark.parametrize("n", [1.0001, 1.37, 2.0, 3.0, 10.0])
+def test_characteristic_curve_w_flipped_w_duality(n):
+    # swapping W and W~ maps q = (1-p)/n to its complement: n <-> n/(n-1)
+    dual = n / (n - 1.0)
+    got = characteristic_curve(n, p_points=101).tau_min
+    want = characteristic_curve(dual, p_points=101).tau_min
+    if n == 2.0:  # its own dual
+        assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_characteristic_curve_finds_thin_zeros():
     # at n = 2 the zero set of the tangle on the phase torus is a thin curve
     # for these p; p = 0.25 is a zero where the curve only touches
