@@ -3,8 +3,9 @@
 All horizontal-axis formulas take (p, n) with q = (1-p)/n substituted, except
 one_tangle_min and concurrence_sum_sq which take general (p, q).
 
-A Python-float p is evaluated with math; numpy is imported only for array
-arguments, so the scalar closed forms start without it.
+Each closed form is one math expression. An array p runs through it element
+by element, so it gives the bits a float p gives; numpy is imported only to
+read and build that array, and a float p never loads it.
 """
 
 import math
@@ -60,47 +61,33 @@ def _coeffs(n):
     return c_lin, c_quad, c_root
 
 
-def _is_scalar(p):
-    """Whether p takes the math path: a Python (or numpy) float, int or bool."""
-    return isinstance(p, (float, int))
-
-
-def _check_p_array(p):
-    """p as a float array in [0, 1]; values within PARAM_TOL outside are clipped."""
+def _elementwise(f, p):
+    """f(p) for a float or int p. An array p goes through the same f element by
+    element, so each element gives the bits a float gives: a float for a 0-d
+    array, otherwise a float array of p's shape."""
+    if isinstance(p, (float, int)):
+        return f(p)
     import numpy as np
 
     p = np.asarray(p, dtype=float)
-    # the array methods and ufuncs, not np.all and np.clip, which add a few
-    # microseconds of Python per call to a scalar p
-    if not ((p >= -PARAM_TOL) & (p <= 1.0 + PARAM_TOL)).all():
-        raise BadParamsError("p must lie in [0, 1]")
-    return np.minimum(np.maximum(p, 0.0), 1.0)
+    out = np.array([f(x) for x in p.ravel().tolist()], dtype=float).reshape(p.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def alpha_I(p, n):
     """Average member tangle of the symmetric ensemble at q = (1-p)/n."""
-    n = check_n(n)
-    c_lin, c_quad, c_root = _coeffs(n)
-    scalar = _is_scalar(p)
-    if scalar:
-        p = check_p(p)
-        sqrt = math.sqrt
-    else:
-        import numpy as np
+    c_lin, c_quad, c_root = _coeffs(check_n(n))
 
-        p = _check_p_array(p)
-        sqrt = np.sqrt
-    val = (
-        p**2
-        - c_lin * p * (1.0 - p)
-        - c_quad * (1.0 - p) ** 2
-        - c_root * sqrt(p * (1.0 - p) ** 3)
-    )
-    if scalar:
-        return val
-    if val.ndim == 0:
-        return float(val)
-    return val
+    def at(p):
+        p = check_p(p)
+        return (
+            p**2
+            - c_lin * p * (1.0 - p)
+            - c_quad * (1.0 - p) ** 2
+            - c_root * math.sqrt(p * (1.0 - p) ** 3)
+        )
+
+    return _elementwise(at, p)
 
 
 def _dd_coeffs(n):
@@ -112,34 +99,33 @@ def _dd_coeffs(n):
 
 def alpha_I_dd(p, n):
     """Closed-form second derivative of alpha_I; singular at p in {0, 1}."""
-    import numpy as np
-
     n = check_n(n)
-    p = np.asarray(p, dtype=float)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise BadParamsError("alpha_I_dd requires 0 < p < 1")
     bracket, c = _dd_coeffs(n)
-    val = (2.0 / (9.0 * n * n)) * (
-        bracket - c * (8.0 * p**2 - 4.0 * p - 1.0) / np.sqrt(p**3 * (1.0 - p))
-    )
-    if val.ndim == 0:
-        return float(val)
-    return val
+
+    def at(p):
+        if not 0.0 < p < 1.0:
+            raise BadParamsError(f"alpha_I_dd requires 0 < p < 1, got {p!r}")
+        p = float(p)
+        # not / sqrt(p^3 (1-p)): p^3 underflows below p ~ 1e-108, where the limit is +inf
+        return (2.0 / (9.0 * n * n)) * (
+            bracket - c * (8.0 * p**2 - 4.0 * p - 1.0) / p / math.sqrt(p * (1.0 - p))
+        )
+
+    return _elementwise(at, p)
 
 
 def alpha_II(p, n, p1):
     """Chord from (p1, alpha_I(p1)) to (1, 1)."""
     n = check_n(n)
-    if not p1 < 1.0:
-        raise BadParamsError(f"p1 must be < 1, got {p1!r}")
-    scalar = _is_scalar(p)
-    p = check_p(p) if scalar else _check_p_array(p)
-    val = (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * alpha_I(p1, n)
-    if scalar:
-        return val
-    if val.ndim == 0:
-        return float(val)
-    return val
+    if not -PARAM_TOL <= p1 < 1.0:
+        raise BadParamsError(f"p1 must lie in [0, 1), got {p1!r}")
+    a1 = alpha_I(p1, n)
+
+    def at(p):
+        p = check_p(p)
+        return (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * a1
+
+    return _elementwise(at, p)
 
 
 def brentq(*args, **kwargs):

@@ -175,7 +175,7 @@ def hull_residual(v, vertices, weights):
 
 
 def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
-    """Best convex combination of the vertices approximating v.
+    """Best convex combination of the (m, d) vertices approximating v, of shape (d,).
 
     Returns (inside, weights): inside is True when the residual |sum w_i v_i - v|
     is <= tol. The weights are the exact minimiser, found by trying every
@@ -184,8 +184,11 @@ def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
     """
     v = np.asarray(v, dtype=float)
     vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim != 2 or vertices.shape[0] < 1:
+    if vertices.ndim == 2 and vertices.shape[0] == 0:
         raise EmptyInputError("need at least one vertex")
+    if v.ndim != 1 or v.size == 0 or vertices.shape[1:] != v.shape:
+        shapes = f"{v.shape} and {vertices.shape}"
+        raise BadDimensionError(f"in_zero_polyhedron expects (d,) and (m, d) shapes, got {shapes}")
     if not (np.isfinite(v).all() and np.isfinite(vertices).all()):
         raise BadParamsError("v and the vertices must be finite")
     if not 0.0 <= tol < np.inf:

@@ -8,7 +8,7 @@ from .errors import BadParamsError
 
 PARAM_TOL = 1e-12
 # largest accepted n: above it the threshold closed forms overflow
-# (alpha_I_dd warns from about 5e152, n * n overflows from about 1.3e154)
+# (alpha_I_dd overflows from about 5e152, n * n from about 1.3e154)
 N_MAX = 1e150
 
 

@@ -172,6 +172,32 @@ def test_alpha_I_array_shape():
     out = alpha_I(ps, 3.0)
     assert out.shape == (7,)
     assert isinstance(alpha_I(0.5, 3.0), float)
+    p1 = TH[3.0].p1
+    closed_forms = (
+        lambda p: alpha_I(p, 3.0),
+        lambda p: alpha_I_dd(p, 3.0),
+        lambda p: alpha_II(p, 3.0, p1),
+    )
+    for f in closed_forms:
+        assert type(f(np.asarray(0.5))) is float
+        assert f(ps.reshape(7, 1)).shape == (7, 1)
+        empty = f(np.zeros((0, 2)))
+        assert isinstance(empty, np.ndarray) and empty.dtype == float and empty.shape == (0, 2)
+    # n and p1 are checked before any element, also when there is none
+    for arr in (np.array([]), np.array([0.5, 2.0])):
+        for f in (alpha_I, alpha_I_dd):
+            with pytest.raises(BadParamsError, match="n must"):
+                f(arr, 0.5)
+        with pytest.raises(BadParamsError, match="n must"):
+            alpha_II(arr, 0.5, p1)
+        with pytest.raises(BadParamsError, match="p1 must"):
+            alpha_II(arr, 3.0, 1.5)
+    # a bad element gets the message a bad float gets
+    for f in (closed_forms[0], closed_forms[2]):
+        with pytest.raises(BadParamsError, match=r"^p must lie in \[0, 1\], got 2\.0$"):
+            f(np.array([0.5, 2.0]))
+    with pytest.raises(BadParamsError, match=r"^alpha_I_dd requires 0 < p < 1, got 1\.0$"):
+        alpha_I_dd(np.array([0.5, 1.0]), 3.0)
 
 
 def test_alpha_I_rejects_bad_input():
@@ -194,6 +220,8 @@ def test_alpha_I_dd_matches_finite_difference():
 
 def test_alpha_I_dd_sign_structure():
     assert alpha_I_dd(0.5, 1.0) > 0.0
+    # +inf as p -> 0, also where p^3 underflows to 0
+    assert alpha_I_dd(1e-300, 2.0) == alpha_I_dd(5e-324, 1e150) == math.inf
     for n in (1.0, 2.0, 10.0):
         ps = TH[n].p_star
         assert alpha_I_dd(ps - 0.01, n) > 0.0
@@ -217,17 +245,17 @@ def test_alpha_II_values():
         assert abs(alpha_II(1.0, n, p1) - 1.0) <= 1e-15
         # chord touches the curve at p1
         assert abs(alpha_II(p1, n, p1) - alpha_I(p1, n)) <= 1e-15
-    with pytest.raises(BadParamsError):
-        alpha_II(0.9, 2.0, 1.0)
+    for bad in (1.0, -0.5, math.nan):
+        with pytest.raises(BadParamsError, match="p1 must"):
+            alpha_II(0.9, 2.0, bad)
     for bad in (5.0, -0.1, 1.1):
         with pytest.raises(BadParamsError, match="p must"):
             alpha_II(bad, 2.0, 0.8)
 
 
 def test_scalar_closed_forms_match_the_array_path():
-    # a Python-float p is evaluated with math; it must give the bits of the
-    # numpy path on a 0-d array (a long array is not the reference: numpy's
-    # vectorised ** differs from its own 0-d result in the last ulp at times)
+    # an array p runs through the float formula element by element, so every
+    # element, of a 0-d or a long array, has the bits of the float result
     rng = np.random.default_rng(20081019)
     named = [1.0, 1.0 + 1e-9, 1.37, 2.0, 3.0, 10.0, 1e6, 1e150]
     ns = named + (10.0 ** rng.uniform(0.0, 150.0, 6)).tolist() + rng.uniform(1.0, 4.0, 6).tolist()
@@ -246,6 +274,17 @@ def test_scalar_closed_forms_match_the_array_path():
             assert mixed_three_tangle(p, n, th).value.hex() == want.hex()
             points += 1
     assert points >= 20_000
+    ps = np.linspace(0.0, 1.0, 4001)
+    for n in named:
+        p1 = thresholds(n).p1
+        for f, grid in (
+            (lambda p: alpha_I(p, n), ps),
+            (lambda p: alpha_II(p, n, p1), ps),
+            (lambda p: alpha_I_dd(p, n), ps[1:-1]),
+        ):
+            got = f(grid)
+            assert got.dtype == float and got.shape == grid.shape
+            assert [x.hex() for x in got.tolist()] == [f(p).hex() for p in grid.tolist()]
 
 
 def test_p1_tangency():

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -203,6 +204,21 @@ def test_membership_symmetric_point():
 def test_membership_empty_vertices():
     with pytest.raises(EmptyInputError):
         in_zero_polyhedron(np.zeros(8), np.zeros((0, 8)))
+
+
+def test_membership_rejects_mismatched_shapes():
+    verts = zero_tangle_vertices(2.0, solve_p0(2.0))
+    cases = [
+        (np.zeros(7), verts),  # v shorter than the vertices
+        (np.zeros(8), verts[0]),  # one vertex as a flat vector
+        (np.zeros((1, 8)), verts),  # v as a row
+        (np.zeros((5, 8)), verts[None]),  # stacked inputs
+        (np.zeros(0), np.zeros((3, 0))),  # no coordinates
+    ]
+    for v, vertices in cases:
+        shapes = f"{v.shape} and {vertices.shape}"
+        with pytest.raises(BadDimensionError, match=f"got {re.escape(shapes)}$"):
+            in_zero_polyhedron(v, vertices)
 
 
 def test_projection_consistency_with_ensemble():

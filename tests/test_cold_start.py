@@ -66,9 +66,14 @@ def test_tangle_command_loads_no_scipy(tmp_path):
 
 
 def test_closed_form_commands_load_no_numpy():
-    proc = run_python("-X", "importtime", "-c", "import tritangle")
-    assert proc.returncode == 0, proc.stderr
-    assert imports_of("numpy", proc.stderr) == []
+    closed_forms = (
+        "from tritangle import alpha_I, alpha_I_dd, alpha_II, solve_p1; "
+        "print(alpha_I(0.8, 2.0), alpha_I_dd(0.8, 2.0), alpha_II(0.95, 2.0, solve_p1(2.0)))"
+    )
+    for code in ("import tritangle", closed_forms):
+        proc = run_python("-X", "importtime", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert imports_of("numpy", proc.stderr) == []
     commands = {
         ("tangle", "--p", "0.8", "--n", "3"): "region=ALPHA_I\nvalue=",
         ("table1",): "n=1\np0=",

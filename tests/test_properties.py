@@ -62,12 +62,16 @@ def test_threshold_order_and_continuity(n):
 
 
 @PROPERTY_SETTINGS
-@given(N_VALUES.filter(lambda n: n >= 1.0 + 1e-6), P_VALUES)
+@given(N_VALUES.filter(lambda n: n > 1.0 + 1e-9), P_VALUES)
 @example(1e6, 0.8)
 @example(3.0, 0.9)
 @example(2.0, 0.8)
+@example(1.0001, 0.7)
+@example(1.37, 0.95)
+@example(10.0, 0.75)
 def test_w_flipped_w_duality(n, p):
-    # swapping W and W~ maps q = (1-p)/n to its complement: n <-> n/(n-1)
+    # swapping W and W~ maps q = (1-p)/n to its complement r = 1-p-q, and
+    # with it n <-> n/(n-1)
     dual = n / (n - 1.0)
     th, th_dual = thresholds(n), thresholds(dual)
     for a, b in zip(as_tuple(th), as_tuple(th_dual)):
@@ -75,6 +79,10 @@ def test_w_flipped_w_duality(n, p):
     got = mixed_three_tangle(p, n, th)
     want = mixed_three_tangle(p, dual, th_dual)
     assert abs(got.value - want.value) <= 1e-13
+    q = (1.0 - p) / n
+    r = 1.0 - p - q
+    assert abs(one_tangle_min(p, q) - one_tangle_min(p, r)) <= 1e-13
+    assert abs(concurrence_sum_sq(p, q) - concurrence_sum_sq(p, r)) <= 1e-13
 
 
 @PROPERTY_SETTINGS
