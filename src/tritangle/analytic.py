@@ -9,7 +9,7 @@ read and build that array, and a float p never loads it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import BadParamsError
@@ -24,33 +24,33 @@ class Region(Enum):
     ALPHA_II = "ALPHA_II"
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(namedtuple("Thresholds", "n p0 p1 p_star p_c")):
     """Per-n boundary points of the piecewise mixture tangle."""
 
-    n: float
-    p0: float
-    p1: float
-    p_star: float
-    p_c: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n, p0, p1, p_star, p_c):
+        self = super().__new__(cls, n, p0, p1, p_star, p_c)
         ok = (
-            0.0 < self.p_c < self.p0 + _ORDER_TOL
-            and self.p0 <= self.p1 + _ORDER_TOL
-            and self.p1 <= self.p_star + _ORDER_TOL
-            and self.p_star < 1.0
+            0.0 < p_c < p0 + _ORDER_TOL
+            and p0 <= p1 + _ORDER_TOL
+            and p1 <= p_star + _ORDER_TOL
+            and p_star < 1.0
         )
         if not ok:
             raise BadParamsError(
                 f"threshold ordering 0 < p_c < p0 <= p1 <= p_star < 1 violated: {self}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its record too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PiecewiseTangle:
-    region: Region
-    value: float
+class PiecewiseTangle(namedtuple("PiecewiseTangle", "region value")):
+    __slots__ = ()
 
 
 def _coeffs(n):
@@ -76,18 +76,21 @@ def _elementwise(f, p):
 
 def alpha_I(p, n):
     """Average member tangle of the symmetric ensemble at q = (1-p)/n."""
-    c_lin, c_quad, c_root = _coeffs(check_n(n))
+    coeffs = _coeffs(check_n(n))
 
     def at(p):
-        p = check_p(p)
-        return (
-            p**2
-            - c_lin * p * (1.0 - p)
-            - c_quad * (1.0 - p) ** 2
-            - c_root * math.sqrt(p * (1.0 - p) ** 3)
-        )
+        return _alpha_I(check_p(p), *coeffs)
 
     return _elementwise(at, p)
+
+
+def _alpha_I(p, c_lin, c_quad, c_root):
+    return (
+        p**2
+        - c_lin * p * (1.0 - p)
+        - c_quad * (1.0 - p) ** 2
+        - c_root * math.sqrt(p * (1.0 - p) ** 3)
+    )
 
 
 def _dd_coeffs(n):
@@ -122,10 +125,13 @@ def alpha_II(p, n, p1):
     a1 = alpha_I(p1, n)
 
     def at(p):
-        p = check_p(p)
-        return (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * a1
+        return _alpha_II(check_p(p), p1, a1)
 
     return _elementwise(at, p)
+
+
+def _alpha_II(p, p1, a1):
+    return (p - p1) / (1.0 - p1) + (1.0 - p) / (1.0 - p1) * a1
 
 
 def brentq(*args, **kwargs):
@@ -220,16 +226,24 @@ def mixed_three_tangle(p, n, th=None):
     n = check_n(n)
     p = check_p(p)
     th = thresholds(n) if th is None else check_thresholds(th, n)
+    return PiecewiseTangle(*_piecewise(p, th, _coeffs(n)))
+
+
+def _piecewise(p, th, coeffs):
+    """(region, tangle) at a checked p, from the thresholds and _coeffs of one n."""
     if p <= th.p0:
-        return PiecewiseTangle(Region.ZERO, 0.0)
+        return Region.ZERO, 0.0
     if p <= th.p1:
-        return PiecewiseTangle(Region.ALPHA_I, alpha_I(p, n))
-    return PiecewiseTangle(Region.ALPHA_II, alpha_II(p, n, th.p1))
+        return Region.ALPHA_I, _alpha_I(p, *coeffs)
+    return Region.ALPHA_II, _alpha_II(p, th.p1, _alpha_I(th.p1, *coeffs))
 
 
 def one_tangle_min(p, q):
     """Minimum one-tangle 4 min det rho_A of the mixture, closed form."""
-    p, q, r = check_pq(p, q)
+    return _one_tangle_min(*check_pq(p, q))
+
+
+def _one_tangle_min(p, q, r):
     poly = 8.0 - 4.0 * p - 12.0 * q + 5.0 * p * p + 12.0 * q * q + 12.0 * p * q
     cross = 4.0 * math.sqrt(p * q * r) * (
         2.0 * math.sqrt(6.0 * q) + 2.0 * math.sqrt(6.0 * r) - 3.0 * math.sqrt(p)
@@ -239,7 +253,10 @@ def one_tangle_min(p, q):
 
 def concurrence_sum_sq(p, q):
     """C_AB^2 + C_AC^2 of the mixture, closed form."""
-    p, q, r = check_pq(p, q)
+    return _concurrence_sum_sq(*check_pq(p, q))
+
+
+def _concurrence_sum_sq(p, q, r):
     # 3p + 2r equals 2 + p - 2q, which cancels as r -> 0 and drops a small p
     c = (2.0 / 3.0) * (1.0 - p) - (1.0 / 3.0) * math.sqrt(
         (3.0 * p + 2.0 * q) * (3.0 * p + 2.0 * r)
@@ -247,32 +264,29 @@ def concurrence_sum_sq(p, q):
     return 2.0 * max(0.0, c) ** 2
 
 
-@dataclass(frozen=True)
-class CkwAudit:
+class CkwAudit(namedtuple("CkwAudit", "n p one_tangle conc_sq_sum tau3 margin min_margin")):
     """Grid check of one_tangle >= conc_sq_sum + tau3 on the q=(1-p)/n slice.
 
     The five columns are tuples of floats, one entry per grid point.
     """
 
-    n: float
-    p: tuple
-    one_tangle: tuple
-    conc_sq_sum: tuple
-    tau3: tuple
-    margin: tuple
-    min_margin: float
+    __slots__ = ()
 
 
 def ckw_audit(n, grid_size):
     n = check_n(n)
     grid_size = check_count("grid_size", grid_size, 2)
     th = thresholds(n)
+    coeffs = _coeffs(n)
     # the points of np.linspace(0, 1, grid_size), bit for bit
     step = 1.0 / (grid_size - 1)
     ps = tuple(i * step for i in range(grid_size - 1)) + (1.0,)
-    one = tuple(one_tangle_min(p, (1.0 - p) / n) for p in ps)
-    conc = tuple(concurrence_sum_sq(p, (1.0 - p) / n) for p in ps)
-    tau = tuple(mixed_three_tangle(p, n, th).value for p in ps)
+    # the (p, q, r) that check_pq gives at q = (1-p)/n, where p and q are >= 0
+    qs = ((1.0 - p) / n for p in ps)
+    pqr = [(p, q, max(1.0 - p - q, 0.0)) for p, q in zip(ps, qs)]
+    one = tuple(_one_tangle_min(*t) for t in pqr)
+    conc = tuple(_concurrence_sum_sq(*t) for t in pqr)
+    tau = tuple(_piecewise(p, th, coeffs)[1] for p in ps)
     margin = tuple(a - b - c for a, b, c in zip(one, conc, tau))
     return CkwAudit(
         n=n,

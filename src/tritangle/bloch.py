@@ -166,9 +166,30 @@ def _simplex_least_squares(a, b):
     return cands[np.argmin(np.where(np.isfinite(residuals), residuals, np.inf))]
 
 
+def _check_shapes(name, v, vertices):
+    """v and the vertices as float arrays of shapes (d,) and (m, d), m >= 1."""
+    v = np.asarray(v, dtype=float)
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim == 2 and vertices.shape[0] == 0:
+        raise EmptyInputError("need at least one vertex")
+    if v.ndim != 1 or v.size == 0 or vertices.shape[1:] != v.shape:
+        shapes = f"{v.shape} and {vertices.shape}"
+        raise BadDimensionError(f"{name} expects (d,) and (m, d) shapes, got {shapes}")
+    return v, vertices
+
+
 def hull_residual(v, vertices, weights):
     """|sum w_i v_i - v|, the distance from v to the weighted vertex mix."""
-    d = np.asarray(vertices, dtype=float).T @ weights - v
+    v, vertices = _check_shapes("hull_residual", v, vertices)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != vertices.shape[:1]:
+        shapes = f"{weights.shape} and {vertices.shape}"
+        raise BadDimensionError(f"hull_residual expects (m,) and (m, d) shapes, got {shapes}")
+    return _residual(v, vertices, weights)
+
+
+def _residual(v, vertices, weights):
+    d = vertices.T @ weights - v
     # scaling by a power of two is exact and keeps the squares of d finite and normal
     e = np.frexp(np.abs(d).max())[1]
     return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
@@ -182,16 +203,10 @@ def in_zero_polyhedron(v, vertices, tol=_MEMBERSHIP_TOL):
     support of the vertices: the cost grows as 2^m in the number m of vertices
     (five in the library), and repeated or affinely dependent vertices are fine.
     """
-    v = np.asarray(v, dtype=float)
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim == 2 and vertices.shape[0] == 0:
-        raise EmptyInputError("need at least one vertex")
-    if v.ndim != 1 or v.size == 0 or vertices.shape[1:] != v.shape:
-        shapes = f"{v.shape} and {vertices.shape}"
-        raise BadDimensionError(f"in_zero_polyhedron expects (d,) and (m, d) shapes, got {shapes}")
+    v, vertices = _check_shapes("in_zero_polyhedron", v, vertices)
     if not (np.isfinite(v).all() and np.isfinite(vertices).all()):
         raise BadParamsError("v and the vertices must be finite")
     if not 0.0 <= tol < np.inf:
         raise BadParamsError(f"tol must be a finite number >= 0, got {tol!r}")
     weights = _simplex_least_squares(vertices.T, v)
-    return hull_residual(v, vertices, weights) <= tol, weights
+    return _residual(v, vertices, weights) <= tol, weights

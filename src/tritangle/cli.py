@@ -4,13 +4,11 @@ decomposition-search oracle.
 
 At module level only the closed forms are imported, which need no numpy; each
 command that builds states or searches imports those modules itself, so
-table1, ckw and tangle run without numpy.
+table1, ckw and tangle run without numpy. json is imported only for --json.
 """
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 from enum import Enum
 
 from .analytic import ckw_audit, mixed_three_tangle, solve_p0, thresholds
@@ -30,6 +28,8 @@ def _fmt(x):
     """Every printed value: floats at 17 significant digits, so they read back
     exactly; bools as true/false; enums by value; sequences space-separated.
     numpy scalars and arrays print as the Python values their tolist() gives."""
+    if type(x) is float:  # most values; numpy.float64 is a float subclass and goes on
+        return f"{x:.17g}"
     if hasattr(x, "tolist"):
         x = x.tolist()
     if isinstance(x, bool):
@@ -48,6 +48,8 @@ def _render(out, as_json):
     headed by their names; for a list of records (dicts), key=value lines with
     a blank line between records, or a JSON array with as_json."""
     if as_json:
+        import json
+
         return json.dumps(out, indent=2) + "\n"
     if isinstance(out, dict):
         rows = (",".join(map(_fmt, row)) for row in zip(*out.values()))
@@ -62,7 +64,7 @@ def _n_flag(n):
 
 
 def cmd_table1(args):
-    return [asdict(thresholds(n)) for n in args.n_list], EXIT_OK
+    return [thresholds(n)._asdict() for n in args.n_list], EXIT_OK
 
 
 def cmd_curves(args):

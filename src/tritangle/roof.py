@@ -3,7 +3,7 @@ envelopes, and an ensemble-decomposition search upper-bounding the mixed-state
 three-tangle."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,15 +33,10 @@ _HALVINGS = 0.5 ** np.arange(4)
 _MEMORY = 8  # curvature pairs each restart keeps
 
 
-@dataclass(frozen=True)
-class CharCurve:
+class CharCurve(namedtuple("CharCurve", "n p tau_min phi1 phi2")):
     """Pointwise phase-minimum of the Z-state tangle along p, at q = (1-p)/n."""
 
-    n: float
-    p: np.ndarray
-    tau_min: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
+    __slots__ = ()
 
 
 def minimize(*args, **kwargs):
@@ -136,12 +131,10 @@ def characteristic_curve(n, p_points=401):
 _COLLINEAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LowerEnvelope:
+class LowerEnvelope(namedtuple("LowerEnvelope", "x y")):
     """Greatest convex minorant of sampled points; piecewise linear."""
 
-    x: np.ndarray
-    y: np.ndarray
+    __slots__ = ()
 
     def __call__(self, xq):
         return np.interp(xq, self.x, self.y)
@@ -205,8 +198,13 @@ def hjw_ensemble(rho, mixing):
     return Ensemble([(wt / total, s) for wt, s in members])
 
 
-@dataclass(frozen=True)
-class DecompositionSearchResult:
+class DecompositionSearchResult(
+    namedtuple(
+        "DecompositionSearchResult",
+        "upper_bound best_ensemble restarts_used converged restart_values restart_nfev"
+        " restarts_agreeing",
+    )
+):
     """Best ensemble found, plus each restart's final value and evaluation count.
 
     upper_bound is restart_values[best], the search's own value at the first
@@ -221,13 +219,7 @@ class DecompositionSearchResult:
     convex roof (-1.55e-15 was seen at n = 2, p = 0.841506).
     """
 
-    upper_bound: float
-    best_ensemble: Ensemble
-    restarts_used: int
-    converged: bool
-    restart_values: tuple
-    restart_nfev: tuple
-    restarts_agreeing: int
+    __slots__ = ()
 
 
 def _adjoint(x):

@@ -112,6 +112,26 @@ def test_thresholds_rejects_bad_ordering():
         Thresholds(n=1.0, p0=0.6, p1=0.7, p_star=0.8, p_c=0.7)
 
 
+def test_analytic_records_keep_their_fields():
+    records = [
+        (thresholds(2.0), ("n", "p0", "p1", "p_star", "p_c")),
+        (mixed_three_tangle(0.8, 2.0), ("region", "value")),
+        (ckw_audit(2.0, 3), ("n", "p", "one_tangle", "conc_sq_sum", "tau3", "margin", "min_margin")),
+    ]
+    for record, fields in records:
+        assert record._fields == fields
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.5)
+    th = thresholds(2.0)
+    assert th == (th.n, th.p0, th.p1, th.p_star, th.p_c)
+    # the keys table1 --json prints, in its order
+    assert list(th._asdict()) == ["n", "p0", "p1", "p_star", "p_c"]
+    assert th._replace(p_c=0.5) == (2.0, th.p0, th.p1, th.p_star, 0.5)
+    with pytest.raises(BadParamsError, match="ordering"):
+        th._replace(p0=0.99)
+
+
 def test_solvers_reject_bad_n():
     for fn in (solve_p0, solve_p1, solve_p_star, p_c, thresholds):
         with pytest.raises(BadParamsError):
@@ -440,6 +460,22 @@ def test_ckw_audit_grid_is_linspace():
         audit = ckw_audit(3.0, k)
         assert all(type(x) is float for x in audit.p + audit.margin)
         assert [x.hex() for x in audit.p] == [x.hex() for x in np.linspace(0.0, 1.0, k).tolist()]
+
+
+@pytest.mark.parametrize("n", [1.0, 1.0 + 1e-9, 1.37, 2.0, 3.0, 10.0, 1e3, 1e6])
+def test_ckw_audit_entries_are_the_per_point_values(n):
+    # the grid runs without per-point checks, yet every entry has the public bits
+    for k in (2, 11, 1001):
+        audit = ckw_audit(n, k)
+        assert audit.n == n
+        assert len(audit.p) == k
+        for j, p in enumerate(audit.p):
+            q = (1.0 - p) / n
+            one, conc = one_tangle_min(p, q), concurrence_sum_sq(p, q)
+            tau = mixed_three_tangle(p, n).value
+            assert (audit.one_tangle[j], audit.conc_sq_sum[j], audit.tau3[j]) == (one, conc, tau)
+            assert audit.margin[j] == one - conc - tau
+        assert audit.min_margin == min(audit.margin)
 
 
 def test_ckw_holds_over_the_whole_triangle():

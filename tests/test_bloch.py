@@ -221,6 +221,22 @@ def test_membership_rejects_mismatched_shapes():
             in_zero_polyhedron(v, vertices)
 
 
+def test_hull_residual_rejects_mismatched_shapes():
+    verts = zero_tangle_vertices(2.0, solve_p0(2.0))
+    weights = np.full(5, 0.2)
+    cases = [
+        (np.zeros(7), verts, weights, "(7,) and (5, 8)"),  # v shorter than the vertices
+        (np.zeros(8), verts, weights[:4], "(4,) and (5, 8)"),  # a weight short
+        (np.zeros(8), verts[0], weights, "(8,) and (8,)"),  # one vertex as a flat vector
+    ]
+    for v, vertices, w, shapes in cases:
+        with pytest.raises(BadDimensionError, match=f"got {re.escape(shapes)}$"):
+            hull_residual(v, vertices, w)
+    with pytest.raises(EmptyInputError):
+        hull_residual(np.zeros(8), np.zeros((0, 8)), np.zeros(0))
+    assert hull_residual(verts[0], verts, [1.0, 0.0, 0.0, 0.0, 0.0]) == 0.0
+
+
 def test_projection_consistency_with_ensemble():
     # projecting a symmetric-ensemble average equals the family density image
     ens = symmetric_ensemble(0.6, 0.2)

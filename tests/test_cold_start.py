@@ -1,12 +1,14 @@
 """A cold process imports no scipy module, whatever tritangle command it runs,
-and no numpy module for `import tritangle` and the closed-form commands."""
+no numpy module for `import tritangle` and the closed-form commands, and no
+dataclasses, inspect or json module for the closed-form commands' text output."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from tritangle import rho, save_density_matrix
+from tritangle import rho, save_density_matrix, thresholds
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -64,7 +66,6 @@ def test_tangle_command_loads_no_scipy(tmp_path):
         assert scipy_imports(proc.stderr) == []
 
 
-
 def test_closed_form_commands_load_no_numpy():
     closed_forms = (
         "from tritangle import alpha_I, alpha_I_dd, alpha_II, solve_p1; "
@@ -86,6 +87,28 @@ def test_closed_form_commands_load_no_numpy():
         assert proc.stdout.startswith(head)
         assert "tritangle.analytic" in proc.stderr
         assert imports_of("numpy", proc.stderr) == []
+
+
+def test_closed_form_commands_load_no_dataclasses_or_json():
+    # beyond what the interpreter itself loads here: a .pth file may preload any of them
+    proc = run_python("-X", "importtime", "-c", "pass")
+    assert proc.returncode == 0, proc.stderr
+    unwanted = ("dataclasses", "inspect", "json")
+    baseline = {name for package in unwanted for name in imports_of(package, proc.stderr)}
+    commands = {
+        ("tangle", "--p", "0.8", "--n", "3"): "region=ALPHA_I\nvalue=",
+        ("table1",): "n=1\np0=",
+        ("ckw", "--n", "3", "--p-points", "11"): "p,one_tangle,conc_sq_sum,tau3,margin\n",
+    }
+    for command, head in commands.items():
+        proc = run_python("-X", "importtime", "-m", "tritangle.cli", *command)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(head)
+        loaded = {name for package in unwanted for name in imports_of(package, proc.stderr)}
+        assert loaded <= baseline, (command, sorted(loaded - baseline))
+    proc = run_python("-m", "tritangle.cli", "table1", "--n-list", "2", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [thresholds(2.0)._asdict()]
 
 
 def test_lazy_exports_resolve():

@@ -158,6 +158,33 @@ def test_envelope_validation():
             lower_convex_envelope([(0.0, 0.0), (bad, 0.2), (1.0, 1.0)])
 
 
+def test_roof_records_keep_their_fields():
+    env = lower_convex_envelope([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
+    assert callable(env)
+    assert env(0.25) == 0.0
+    records = [
+        (characteristic_curve(2.0, p_points=11), ("n", "p", "tau_min", "phi1", "phi2")),
+        (env, ("x", "y")),
+        (
+            min_avg_tangle(rho(0.9, 0.05), 5, restarts=1),
+            (
+                "upper_bound",
+                "best_ensemble",
+                "restarts_used",
+                "converged",
+                "restart_values",
+                "restart_nfev",
+                "restarts_agreeing",
+            ),
+        ),
+    ]
+    for record, fields in records:
+        assert record._fields == fields
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.5)
+
+
 def test_rank_of():
     assert rank_of(rho(0.5, 0.25)) == 3
     assert rank_of(ghz().density()) == 1
