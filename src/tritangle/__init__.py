@@ -38,7 +38,6 @@ _EXPORTS = {
         "BadDimensionError",
         "BadParamsError",
         "EmptyInputError",
-        "NoRootError",
         "NotIsometryError",
         "OutOfSpanError",
         "ZeroVectorError",

@@ -239,7 +239,10 @@ def _piecewise(p, th, coeffs):
 
 
 def one_tangle_min(p, q):
-    """Minimum one-tangle 4 min det rho_A of the mixture, closed form."""
+    """One-tangle 4 det rho_A averaged over the mixture's symmetric ensemble
+    (symmetric_ensemble), closed form. It is an upper bound on the convex roof
+    of the one-tangle, not the roof: at rho(1/4, 3/8), an equal mixture of
+    three product states, the roof is 0 and this value is 1."""
     return _one_tangle_min(*check_pq(p, q))
 
 
@@ -267,7 +270,9 @@ def _concurrence_sum_sq(p, q, r):
 class CkwAudit(namedtuple("CkwAudit", "n p one_tangle conc_sq_sum tau3 margin min_margin")):
     """Grid check of one_tangle >= conc_sq_sum + tau3 on the q=(1-p)/n slice.
 
-    The five columns are tuples of floats, one entry per grid point.
+    The five columns are tuples of floats, one entry per grid point;
+    one_tangle is one_tangle_min, the symmetric ensemble's one-tangle, an upper
+    bound on the one-tangle's convex roof.
     """
 
     __slots__ = ()

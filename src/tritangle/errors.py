@@ -13,11 +13,6 @@ class BadDimensionError(BadParamsError):
     """Matrix or vector has an unsupported shape."""
 
 
-class NoRootError(RuntimeError):
-    """A root finder found no root. Kept as a public name; nothing in the
-    package raises it any more."""
-
-
 class NotIsometryError(ValueError):
     """Mixing matrix columns are not orthonormal within tolerance."""
 

@@ -2,7 +2,7 @@
 accepted range", so NaN is refused as well. This module imports no numpy, so
 the closed forms that use it start without numpy."""
 
-import numbers
+import operator
 
 from .errors import BadParamsError
 
@@ -27,15 +27,19 @@ def check_p(p):
 
 
 def check_count(name, value, lo, hi=None):
-    """value as an int in [lo, hi]; numpy integers pass, bools and non-integers
-    do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """value as an int in [lo, hi]; whatever operator.index takes but bool
+    passes, numpy integers included."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
         raise BadParamsError(f"{name} must be an integer, got {value!r}")
-    if hi is not None and not lo <= value <= hi:
+    if hi is not None and not lo <= count <= hi:
         raise BadParamsError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
-    if value < lo:
+    if count < lo:
         raise BadParamsError(f"{name} must be >= {lo}, got {value!r}")
-    return int(value)
+    return count
 
 
 def check_pq(p, q):

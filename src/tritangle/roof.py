@@ -341,34 +341,19 @@ def _riemannian_gradient(u, forms, lam):
     return _tangent(u, grad)
 
 
-def _project(u, vecs):
-    """Each of the j vectors per restart in the (k, m, j, r) stack vecs, projected
-    onto the tangent space at that restart's u as _tangent does; with m ahead
-    of j, one matmul per restart serves all j vectors."""
-    k, m, j, r = vecs.shape
-    uhx = (_adjoint(u) @ vecs.reshape(k, m, j * r)).reshape(k, r, j, r)
-    # the Hermitian part of each r x r block u^H x_i
-    sym = 0.5 * (uhx + uhx.transpose(0, 3, 2, 1).conj())
-    return vecs - (u @ sym.reshape(k, r, j * r)).reshape(k, m, j, r)
-
-
 def _two_loop(g, pairs, rho, gamma):
     """The L-BFGS direction -H g of each restart by the two-loop recursion over
-    its stored pairs: pairs[:, :, 0, i] is s_i and pairs[:, :, 1, i] is y_i,
-    oldest first, and an empty slot has rho = 0, so it adds nothing."""
-    k = g.shape[0]
-    # each slot's (k, m, r) stack as contiguous float rows, so that every inner
-    # product is one vecdot
-    s, y = pairs.transpose(2, 3, 0, 1, 4).copy().view(float).reshape(2, rho.shape[1], k, -1)
-    rho = rho.T
+    its stored pairs, as flat float rows (_flat): pairs[:, 0, i] is s_i and
+    pairs[:, 1, i] is y_i, oldest first, and an empty slot has rho = 0, so it
+    adds nothing."""
     q = _flat(g).copy()
     alphas = np.empty(rho.shape)
-    for i in reversed(range(rho.shape[0])):
-        alphas[i] = rho[i] * np.vecdot(s[i], q)
-        q -= alphas[i, :, None] * y[i]
+    for i in reversed(range(rho.shape[1])):
+        alphas[:, i] = rho[:, i] * np.vecdot(pairs[:, 0, i], q)
+        q -= alphas[:, i, None] * pairs[:, 1, i]
     q *= gamma[:, None]
-    for i in range(rho.shape[0]):
-        q += (alphas[i] - rho[i] * np.vecdot(y[i], q))[:, None] * s[i]
+    for i in range(rho.shape[1]):
+        q += (alphas[:, i] - rho[:, i] * np.vecdot(pairs[:, 1, i], q))[:, None] * pairs[:, 0, i]
     return -q.view(complex).reshape(g.shape)
 
 
@@ -376,9 +361,11 @@ def _lbfgs_lockstep(u, forms, lam):
     """Riemannian L-BFGS from every isometry of the stack u, all restarts
     stepped together.
 
-    Each restart keeps its last _MEMORY curvature pairs (s, y), moved to each
-    new point by projection onto its tangent space. A pair is stored only when
-    <s, y> and <y, y> are at least the smallest normal number, so that its
+    Each restart keeps its last _MEMORY curvature pairs as computed, the step
+    s = step d and the gradient change y = g_new - g, without moving them to
+    later points; the direction the two-loop recursion makes of them is
+    projected onto the tangent space at the new point. A pair is stored only
+    when <s, y> and <y, y> are at least the smallest normal number, so that its
     1/<s, y> and the initial inverse-Hessian scale <s, y>/<y, y> are finite;
     that scale comes from the newest stored pair. A direction that is not a
     descent direction is replaced by steepest descent. Each step is an Armijo
@@ -396,8 +383,7 @@ def _lbfgs_lockstep(u, forms, lam):
     f = _average_tangle(u, forms, lam)
     g = _riemannian_gradient(u, forms, lam)
     d = -g
-    # slot _MEMORY holds the newest step's pair until it is stored or dropped
-    pairs = np.zeros((n_restarts, m, 2, _MEMORY + 1, r), dtype=complex)
+    pairs = np.zeros((n_restarts, 2, _MEMORY, 2 * m * r))
     rho = np.zeros((n_restarts, _MEMORY))
     gamma = np.ones(n_restarts)
     u_end, f_end = u.copy(), f.copy()
@@ -441,19 +427,14 @@ def _lbfgs_lockstep(u, forms, lam):
             if not rows.size:
                 break
         g_new = _riemannian_gradient(u, forms, lam)
-        # the stored pairs and the new one, (step d, old g), moved to the new
-        # point in one projection
-        pairs[:, :, 0, -1] = step[:, None, None] * d
-        pairs[:, :, 1, -1] = g
-        pairs = _project(u, pairs.reshape(rows.size, m, -1, r)).reshape(pairs.shape)
-        pairs[:, :, 1, -1] = g_new - pairs[:, :, 1, -1]
-        s_new, y_new = pairs[:, :, 0, -1], pairs[:, :, 1, -1]
-        sy, yy = _inner(s_new, y_new), _inner(y_new, y_new)
+        s, y = _flat(step[:, None, None] * d), _flat(g_new - g)
+        sy, yy = np.vecdot(s, y), np.vecdot(y, y)
         keep = (sy >= _TINY) & (yy >= _TINY)
-        pairs[keep, :, :, :-1] = pairs[keep, :, :, 1:]
+        pairs[keep, :, :-1] = pairs[keep, :, 1:]
+        pairs[keep, 0, -1], pairs[keep, 1, -1] = s[keep], y[keep]
         rho[keep] = np.concatenate((rho[keep, 1:], 1.0 / sy[keep, None]), axis=1)
         gamma[keep] = sy[keep] / yy[keep]
-        d = _two_loop(g_new, pairs[:, :, :, :-1], rho, gamma)
+        d = _tangent(u, _two_loop(g_new, pairs, rho, gamma))
         uphill = _inner(g_new, d) >= 0.0
         d[uphill] = -g_new[uphill]
         g = g_new

@@ -7,6 +7,7 @@ import pytest
 from tritangle import (
     BadParamsError,
     CkwAudit,
+    Ensemble,
     Region,
     Thresholds,
     alpha_I,
@@ -15,17 +16,20 @@ from tritangle import (
     ckw_audit,
     concurrence,
     concurrence_sum_sq,
+    density_from_ensemble,
     mixed_three_tangle,
     one_tangle_min,
     one_tangle_pure,
     p_c,
     partial_trace_pair,
+    pure_from_amplitudes,
     rho,
     solve_p0,
     solve_p1,
     solve_p_star,
     symmetric_ensemble,
     thresholds,
+    three_tangle_pure,
 )
 from tritangle import analytic, cli
 from tritangle.family import N_MAX
@@ -385,6 +389,25 @@ def test_one_tangle_min_matches_symmetric_ensemble():
         for q in np.linspace(0.0, 1.0 - p, 5):
             avg = sum(wt * one_tangle_pure(s) for wt, s in symmetric_ensemble(p, q))
             assert abs(one_tangle_min(p, q) - avg) <= 1e-12
+
+
+def test_one_tangle_min_is_above_the_roof_at_the_product_point():
+    # rho(1/4, 3/8) is the equal mixture of the product states
+    # ((|0> + w^k |1>)/sqrt 2)^(x)3, w = e^{2 pi i/3}: its one-tangle roof is 0,
+    # while one_tangle_min is the symmetric ensemble's one-tangle, an upper bound
+    members = []
+    for k in range(3):
+        qubit = np.array([1.0, np.exp(2j * np.pi * k / 3)]) / math.sqrt(2.0)
+        members.append((1.0 / 3.0, pure_from_amplitudes(np.kron(np.kron(qubit, qubit), qubit))))
+    ens = Ensemble(members)
+    assert np.max(np.abs(density_from_ensemble(ens).mat - rho(0.25, 0.375).mat)) <= 1e-15
+    for _, member in ens:
+        assert three_tangle_pure(member) <= 1e-15
+        assert max(one_tangle_pure(member, focus) for focus in "ABC") <= 1e-15
+        # Wootters' square roots of a rank-one product leave about 4e-9
+        pairs = (partial_trace_pair(member.density(), keep) for keep in ("AB", "AC", "BC"))
+        assert max(concurrence(pair) for pair in pairs) <= 1e-8
+    assert one_tangle_min(0.25, 0.375) == 1.0
 
 
 def test_one_tangle_min_validation():

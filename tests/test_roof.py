@@ -25,6 +25,7 @@ from tritangle import (
     w,
     z_tangle_closed,
 )
+from tritangle.params import check_count
 
 TH2 = thresholds(2.0)
 
@@ -300,6 +301,30 @@ def test_min_avg_tangle_accepts_numpy_integers():
     plain = min_avg_tangle(target, m=4, restarts=2, seed=5)
     numpy_ints = min_avg_tangle(target, m=np.int64(4), restarts=np.int32(2), seed=np.uint8(5))
     assert numpy_ints.restart_values == plain.restart_values
+
+
+@pytest.mark.parametrize("value", [6, np.int64(6), np.int32(6), np.uint8(6)])
+def test_counts_accept_plain_and_numpy_integers(value):
+    count = check_count("m", value, 2, 8)
+    assert count == 6 and type(count) is int
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (5.0, "m must be an integer, got 5.0"),
+        (np.float64(5.0), "m must be an integer, got np.float64(5.0)"),
+        ("5", "m must be an integer, got '5'"),
+        (True, "m must be an integer, got True"),
+        (False, "m must be an integer, got False"),
+        (np.int64(9), "m must lie in [2, 8], got np.int64(9)"),
+        (1, "m must lie in [2, 8], got 1"),
+    ],
+)
+def test_counts_refuse_non_integers_bools_and_out_of_range(value, message):
+    with pytest.raises(BadParamsError) as caught:
+        check_count("m", value, 2, 8)
+    assert str(caught.value) == message
 
 
 def test_min_avg_tangle_deterministic():

@@ -2,6 +2,7 @@
 and its gradient, the Riemannian pieces on the isometries, and properties of
 min_avg_tangle."""
 
+import functools
 import math
 
 import numpy as np
@@ -46,11 +47,12 @@ def search_form(target):
     return roof._cayley_forms(basis), lam
 
 
-def random_rank4_state(seed):
+def random_mixed_state(seed, rank):
+    # a seeded mixture of rank random pure states, rank <= 8
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    amps = rng.standard_normal((rank, 8)) + 1j * rng.standard_normal((rank, 8))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    weights = rng.uniform(0.1, 1.0, 4)
+    weights = rng.uniform(0.1, 1.0, rank)
     mat = np.einsum("k,ka,kb->ab", weights / weights.sum(), amps, amps.conj())
     return DensityMatrix(mat)
 
@@ -69,7 +71,7 @@ KERNEL_STATES = {
     "alpha_ii_n3": family_point("ALPHA_II", 3.0, 0.7),
     "pi_p0.5": pi_state(0.5, math.inf),
     "ghz": ghz().density(),
-    "rank4": random_rank4_state(67),
+    "rank4": random_mixed_state(67, 4),
 }
 
 
@@ -217,16 +219,6 @@ def test_gradient_is_tangent_and_retractions_are_isometries():
             assert np.all(diag.real > 0.0)
 
 
-def test_stacked_projection_matches_tangent():
-    rng = np.random.default_rng(65)
-    for m, r in ((3, 3), (5, 3), (8, 2)):
-        u = random_isometries(rng, 6, m, r)
-        vecs = rng.standard_normal((6, m, 7, r)) + 1j * rng.standard_normal((6, m, 7, r))
-        projected = roof._project(u, vecs)
-        for i in range(7):
-            assert np.max(np.abs(projected[:, :, i] - roof._tangent(u, vecs[:, :, i]))) <= 1e-14
-
-
 def test_two_loop_matches_dense_bfgs_update():
     # reference: H = V^T H V + rho s s^T with V = I - rho y s^T, from H = gamma I,
     # oldest pair first, in the real coordinates where <a, b> = Re tr(a^H b)
@@ -239,7 +231,9 @@ def test_two_loop_matches_dense_bfgs_update():
     rho_ = np.zeros((k, memory))
     rho_[:, 1:] = rng.uniform(0.5, 2.0, (k, memory - 1))
     gamma = rng.uniform(0.5, 2.0, k)
-    direction = roof._two_loop(g, pairs, rho_, gamma)
+    # each slot's (k, m, r) stack as the flat float rows the search stores
+    flat = roof._flat(pairs.transpose(0, 2, 3, 1, 4).reshape(-1, m, r)).reshape(k, 2, memory, -1)
+    direction = roof._two_loop(g, flat, rho_, gamma)
 
     def real(x):
         return np.concatenate((x.real.ravel(), x.imag.ravel()))
@@ -301,6 +295,42 @@ def test_upper_bound_is_the_best_restart_value(target):
     result = min_avg_tangle(target, m=5, restarts=6, seed=13)
     assert result.upper_bound == min(result.restart_values)
     assert abs(ensemble_average_tangle(result.best_ensemble) - result.upper_bound) <= 1e-15
+
+
+RANDOM_SEARCHES = [(r, m) for r in (2, 3, 4) for m in range(r, 9)]
+# these stop at the iteration cap, at 0.107, 0.026 and 2.9e-9: in each best
+# ensemble some member's tangle is near 0 (8.7e-8, 1.5e-5, 3.6e-11), on the kink
+# of |D| where L-BFGS slows (ROADMAP item 9)
+AT_THE_CAP = {(3, 5), (3, 6), (3, 8)}
+
+
+@functools.cache
+def random_search(r, m):
+    # a state off the family and the pi states, its own seed for each (r, m)
+    target = random_mixed_state(100 + 10 * r + m, r)
+    return target, min_avg_tangle(target, m=m, restarts=6, seed=m)
+
+
+@pytest.mark.parametrize("r, m", RANDOM_SEARCHES)
+def test_search_on_random_states(r, m):
+    target, result = random_search(r, m)
+    assert roof.rank_of(target) == r
+    assert result.upper_bound == min(result.restart_values)
+    assert abs(ensemble_average_tangle(result.best_ensemble) - result.upper_bound) <= 1e-15
+    assert trace_distance(density_from_ensemble(result.best_ensemble), target) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "r, m",
+    [
+        pytest.param(*rm, marks=pytest.mark.xfail(strict=True, reason="stops at the iteration cap"))
+        if rm in AT_THE_CAP
+        else rm
+        for rm in RANDOM_SEARCHES
+    ],
+)
+def test_search_on_random_states_converges(r, m):
+    assert random_search(r, m)[1].converged
 
 
 def test_restarts_are_independent():
