@@ -1,5 +1,8 @@
 """Qutrit Bloch geometry on span{GHZ, W, W~}: Gell-Mann coordinates, the five
-zero-tangle vertices, and the polyhedron membership test."""
+zero-tangle vertices, and the polyhedron membership test.
+
+A vertex is the Gell-Mann image of a zero-tangle state's qutrit vector over
+(GHZ, W, W~): W, W~ and the three Z(p0, (1-p0)/n) phase states."""
 
 import functools
 import itertools
@@ -8,9 +11,9 @@ import math
 import numpy as np
 
 from .errors import BadDimensionError, BadParamsError, EmptyInputError, OutOfSpanError
-from .family import SYMMETRIC_PHASES, ghz, w, w_tilde, z_state
+from .family import _SPAN, _slice, _z_vectors
 from .params import check_n
-from .states import DensityMatrix, check_density
+from .states import DensityMatrix, PureState3, check_density
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -26,9 +29,6 @@ GELL_MANN[6] = [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]
 GELL_MANN[7] = np.diag([1.0, 1.0, -2.0]) / _SQRT3
 GELL_MANN.setflags(write=False)
 
-# ordered basis (GHZ, W, W~) as 8x3 column isometry
-_BASIS = np.column_stack([ghz().amps, w().amps, w_tilde().amps])
-
 LEAKAGE_TOL = 1e-10
 
 _MEMBERSHIP_TOL = 1e-8
@@ -39,7 +39,7 @@ def qutrit_project(rho):
 
     Raises OutOfSpan if rho has weight outside the span (leakage > 1e-10).
     """
-    sigma = _BASIS.conj().T @ check_density(rho, 8, "qutrit_project").mat @ _BASIS
+    sigma = _SPAN.conj() @ check_density(rho, 8, "qutrit_project").mat @ _SPAN.T
     leakage = 1.0 - sigma.trace().real
     if not leakage <= LEAKAGE_TOL:
         raise OutOfSpanError(leakage)
@@ -48,8 +48,12 @@ def qutrit_project(rho):
 
 def bloch_vector(sigma):
     """Gell-Mann coordinates n_i = (sqrt(3)/2) Tr(sigma l_i)."""
-    sigma = check_density(sigma, 3, "bloch_vector")
-    return (_SQRT3 / 2.0) * np.real(np.einsum("kij,ji->k", GELL_MANN, sigma.mat))
+    return _bloch_rows(check_density(sigma, 3, "bloch_vector").mat[None])[0]
+
+
+def _bloch_rows(mats):
+    """Gell-Mann coordinates of each 3x3 matrix of a (k, 3, 3) stack."""
+    return (_SQRT3 / 2.0) * np.real(np.einsum("kij,nji->nk", GELL_MANN, mats))
 
 
 def qutrit_from_bloch(n_vec):
@@ -61,54 +65,27 @@ def qutrit_from_bloch(n_vec):
     return DensityMatrix(mat)
 
 
+def _vertex_vectors(n, p0):
+    """Qutrit vectors of the five zero-tangle states, as a (5, 3) array: W, W~,
+    then the three Z(p0, (1-p0)/n) phase states with r = (n-1)(1-p0)/n."""
+    n = check_n(n)
+    if not 0.0 < p0 < 1.0:
+        raise BadParamsError(f"p0 must lie in (0, 1), got {p0!r}")
+    return np.vstack((np.eye(3)[1:], _z_vectors(*_slice(p0, n))))
+
+
 def zero_tangle_vertices(n, p0):
     """The five Bloch vectors spanning the vanishing-tangle polyhedron.
 
     Row order: W, W~, then the three Z(p0, (1-p0)/n) phase vertices.
     """
-    n = check_n(n)
-    if not 0.0 < p0 < 1.0:
-        raise BadParamsError(f"p0 must lie in (0, 1), got {p0!r}")
-    xi1 = math.sqrt(p0 * (1.0 - p0) / n)
-    xi2 = math.sqrt(n - 1.0) * xi1
-    xi3 = math.sqrt(n - 1.0) * (1.0 - p0) / n
-    eta1 = (_SQRT3 / 2.0) * (1.0 - (n + 1.0) * (1.0 - p0) / n)
-    eta2 = 0.5 * (1.0 - 3.0 * (n - 1.0) * (1.0 - p0) / n)
-    rows = np.array(
-        [
-            [0.0, 0.0, -_SQRT3 / 2.0, 0.0, 0.0, 0.0, 0.0, 0.5],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
-            [-_SQRT3 * xi1, 0.0, eta1, -_SQRT3 * xi2, 0.0, _SQRT3 * xi3, 0.0, eta2],
-            [
-                (_SQRT3 / 2.0) * xi1,
-                -1.5 * xi1,
-                eta1,
-                (_SQRT3 / 2.0) * xi2,
-                1.5 * xi2,
-                -(_SQRT3 / 2.0) * xi3,
-                1.5 * xi3,
-                eta2,
-            ],
-            [
-                (_SQRT3 / 2.0) * xi1,
-                1.5 * xi1,
-                eta1,
-                (_SQRT3 / 2.0) * xi2,
-                -1.5 * xi2,
-                -(_SQRT3 / 2.0) * xi3,
-                -1.5 * xi3,
-                eta2,
-            ],
-        ]
-    )
-    return rows
+    x = _vertex_vectors(n, p0)
+    return _bloch_rows(x[:, :, None] * x[:, None, :].conj())
 
 
 def vertex_states(n, p0):
     """Pure states behind zero_tangle_vertices, in the same row order."""
-    n = check_n(n)
-    q0 = (1.0 - p0) / n
-    return [w(), w_tilde(), *(z_state(p0, q0, f1, f2) for f1, f2 in SYMMETRIC_PHASES)]
+    return [PureState3(a) for a in _vertex_vectors(n, p0) @ _SPAN]
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,6 +1,10 @@
 """The GHZ / W / flipped-W family: named states, Z superpositions, the rank-3
 mixture rho(p,q), its symmetric ensemble, region-wise optimal decompositions,
-and the pi(p,n) side family."""
+and the pi(p,n) side family.
+
+Every family state lies in the span of GHZ, W and W~. A state there is a
+qutrit vector x over those three rows, and its 8 amplitudes are x @ _SPAN; a Z
+state is x = (sqrt p, -e^{i phi1} sqrt q, -e^{i phi2} sqrt r)."""
 
 import math
 
@@ -8,17 +12,17 @@ import numpy as np
 
 from .errors import BadParamsError
 from .params import N_MAX, check_n, check_p, check_pq, check_thresholds
-from .states import DensityMatrix, Ensemble, PureState3
+from .states import Ensemble, PureState3, _mixture
 
-_GHZ = np.zeros(8, dtype=complex)
-_GHZ[[0, 7]] = 1.0 / math.sqrt(2.0)
+# rows GHZ, W, W~: the span of the family, read-only
+_SPAN = np.zeros((3, 8), dtype=complex)
+_SPAN[0, [0, 7]] = 1.0 / math.sqrt(2.0)
+_SPAN[1, [1, 2, 4]] = 1.0 / math.sqrt(3.0)
+_SPAN[2, [6, 5, 3]] = 1.0 / math.sqrt(3.0)
+_SPAN.setflags(write=False)
 _GHZ_MINUS = np.zeros(8, dtype=complex)
 _GHZ_MINUS[0] = 1.0 / math.sqrt(2.0)
 _GHZ_MINUS[7] = -1.0 / math.sqrt(2.0)
-_W = np.zeros(8, dtype=complex)
-_W[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
-_W_TILDE = np.zeros(8, dtype=complex)
-_W_TILDE[[6, 5, 3]] = 1.0 / math.sqrt(3.0)
 
 # phase pairs of the symmetric three-member ensemble realizing rho(p,q)
 SYMMETRIC_PHASES = (
@@ -30,7 +34,7 @@ SYMMETRIC_PHASES = (
 
 def ghz():
     """(|000> + |111>)/sqrt(2)."""
-    return PureState3(_GHZ)
+    return PureState3(_SPAN[0])
 
 
 def ghz_minus():
@@ -40,23 +44,37 @@ def ghz_minus():
 
 def w():
     """(|001> + |010> + |100>)/sqrt(3)."""
-    return PureState3(_W)
+    return PureState3(_SPAN[1])
 
 
 def w_tilde():
     """(|110> + |101> + |011>)/sqrt(3); W with all qubits flipped."""
-    return PureState3(_W_TILDE)
+    return PureState3(_SPAN[2])
+
+
+def _slice(p, n):
+    """(p, q, r) on the slice q = (1-p)/n, with r = (n-1) q: 1 - p - q would
+    cancel as n -> 1."""
+    q = (1.0 - p) / n
+    return p, q, (n - 1.0) * q
+
+
+def _z_vectors(p, q, r, phases=SYMMETRIC_PHASES):
+    """Qutrit vectors (sqrt p, -e^{i phi1} sqrt q, -e^{i phi2} sqrt r) over
+    (GHZ, W, W~), one row per (phi1, phi2) pair of phases."""
+    rows = np.empty((len(phases), 3), dtype=complex)
+    rows[:, 0] = math.sqrt(p)
+    rows[:, 1:] = -(np.exp(1j * np.asarray(phases, dtype=float)) * (math.sqrt(q), math.sqrt(r)))
+    return rows
+
+
+def _z_states(p, q, r, phases=SYMMETRIC_PHASES):
+    return [PureState3(a) for a in _z_vectors(p, q, r, phases) @ _SPAN]
 
 
 def z_state(p, q, phi1=0.0, phi2=0.0):
     """sqrt(p)|GHZ> - e^{i phi1} sqrt(q)|W> - e^{i phi2} sqrt(1-p-q)|W~>."""
-    p, q, r = check_pq(p, q)
-    amps = (
-        math.sqrt(p) * _GHZ
-        - np.exp(1j * phi1) * math.sqrt(q) * _W
-        - np.exp(1j * phi2) * math.sqrt(r) * _W_TILDE
-    )
-    return PureState3(amps)
+    return _z_states(*check_pq(p, q), ((phi1, phi2),))[0]
 
 
 def z_tangle_coefficients(p, q):
@@ -87,45 +105,33 @@ def z_tangle_closed(p, q, phi1=0.0, phi2=0.0):
 
 def rho(p, q):
     """p |GHZ><GHZ| + q |W><W| + (1-p-q) |W~><W~|; rank <= 3."""
-    p, q, r = check_pq(p, q)
-    mat = (
-        p * np.outer(_GHZ, _GHZ.conj())
-        + q * np.outer(_W, _W.conj())
-        + r * np.outer(_W_TILDE, _W_TILDE.conj())
-    )
-    return DensityMatrix(mat)
+    return _mixture(check_pq(p, q), _SPAN)
 
 
 def symmetric_ensemble(p, q):
     """Equal-weight three-member Z ensemble realizing rho(p,q)."""
-    return Ensemble(
-        [(1.0 / 3.0, z_state(p, q, f1, f2)) for f1, f2 in SYMMETRIC_PHASES]
-    )
+    return Ensemble([(1.0 / 3.0, s) for s in _z_states(*check_pq(p, q))])
 
 
 def optimal_decomposition(p, n, th):
     """Minimal-average-tangle ensemble for rho(p, (1-p)/n) in each region.
 
-    th must be the Thresholds record for the same n. Members with weight
-    <= 1e-14 are dropped so boundary calls return the short ensembles.
+    th must be the Thresholds record for the same n. The Z members take
+    r = (n-1) q, which stays exact as n -> 1. Members with weight <= 1e-14 are
+    dropped so boundary calls return the short ensembles.
     """
     p = check_p(p)
     check_thresholds(th, n)
     p0, p1 = th.p0, th.p1
     if p < p0:
-        q0 = (1.0 - p0) / n
-        members = [(p / (3.0 * p0), z_state(p0, q0, f1, f2)) for f1, f2 in SYMMETRIC_PHASES]
+        members = [(p / (3.0 * p0), s) for s in _z_states(*_slice(p0, n))]
         members.append(((p0 - p) / (n * p0), w()))
         members.append(((n - 1.0) * (p0 - p) / (n * p0), w_tilde()))
     elif p <= p1:
-        return symmetric_ensemble(p, (1.0 - p) / n)
+        members = [(1.0 / 3.0, s) for s in _z_states(*_slice(p, n))]
     else:
-        q1 = (1.0 - p1) / n
         members = [((p - p1) / (1.0 - p1), ghz())]
-        members += [
-            ((1.0 - p) / (3.0 * (1.0 - p1)), z_state(p1, q1, f1, f2))
-            for f1, f2 in SYMMETRIC_PHASES
-        ]
+        members += [((1.0 - p) / (3.0 * (1.0 - p1)), s) for s in _z_states(*_slice(p1, n))]
     return Ensemble([(wt, s) for wt, s in members if wt > 1e-14])
 
 
@@ -143,9 +149,4 @@ def pi_state(p, n):
             f"n must be math.inf or a number in [1, {N_MAX:g}], got {n!r}"
         ) from None
     rest = (1.0 - p) - qn
-    mat = (
-        p * np.outer(_GHZ, _GHZ.conj())
-        + qn * np.outer(_W, _W.conj())
-        + rest * np.outer(_GHZ_MINUS, _GHZ_MINUS.conj())
-    )
-    return DensityMatrix(mat)
+    return _mixture((p, qn, rest), np.vstack((_SPAN[:2], _GHZ_MINUS)))

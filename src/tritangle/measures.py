@@ -98,5 +98,7 @@ def ckw_residual(psi):
 
 
 def ensemble_average_tangle(ens):
-    """Weight-average three-tangle of an ensemble's members."""
-    return float(sum(w * three_tangle_pure(s) for w, s in ens))
+    """Weight-average three-tangle of an ensemble's members: one kernel call on
+    their stacked amplitudes, then w * tau summed in member order."""
+    taus = tangle_from_amps([s.amps for s in ens.states]).tolist()
+    return float(sum(w * t for (w, _), t in zip(ens, taus)))

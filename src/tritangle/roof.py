@@ -267,8 +267,9 @@ _EPS_EPS = np.kron([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _cayley_forms(basis):
-    """The complex-symmetric r x r matrices (S00, S11, S01), stacked, with
-    B_kl(x) = x^T S_kl x for the amplitudes t = x @ basis of an r x 8 basis.
+    """The complex-symmetric r x r matrices S00, S11 and S01 side by side, as
+    one (r, 3r) matrix, with B_kl(x) = x^T S_kl x for the amplitudes
+    t = x @ basis of an r x 8 basis.
 
     Cayley's form of the hyperdeterminant: with A_0, A_1 the 2 x 2 slices of t
     at the first qubit's 0 and 1, B_kk = 2 det A_k and B_01 = det(A_0 + A_1) -
@@ -276,16 +277,16 @@ def _cayley_forms(basis):
     """
     slices = basis.reshape(-1, 2, 4)
     pair = np.einsum("ika,ab,jlb->klij", slices, _EPS_EPS, slices)
-    return np.stack((pair[0, 0], pair[1, 1], 0.5 * (pair[0, 1] + pair[1, 0])))
+    return np.hstack((pair[0, 0], pair[1, 1], 0.5 * (pair[0, 1] + pair[1, 0])))
 
 
 def _cayley_values(x, forms):
     """S_kl x and B_kl(x) for each row x of a (..., r) stack, as (N, 3, r) and
     (N, 3) arrays in the order of forms; each S_kl is symmetric, so one flat
-    matmul of the rows with the three side by side gives every S_kl x."""
+    matmul of the rows with the side-by-side forms gives every S_kl x."""
     r = x.shape[-1]
     rows = x.reshape(-1, r)
-    sx = (rows @ forms.transpose(1, 0, 2).reshape(r, 3 * r)).reshape(-1, 3, r)
+    sx = (rows @ forms).reshape(-1, 3, r)
     return sx, np.einsum("nkr,nr->nk", sx, rows)
 
 

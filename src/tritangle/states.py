@@ -37,7 +37,7 @@ class PureState3:
 
     def density(self):
         """Rank-1 projector |psi><psi| as a DensityMatrix."""
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()))
+        return _mixture((1.0,), self.amps[None])
 
     def overlap(self, other):
         """Inner product <self|other>."""
@@ -133,10 +133,16 @@ def pure_from_amplitudes(amps):
 
 def density_from_ensemble(ens):
     """rho = sum_i w_i |psi_i><psi_i|."""
-    rho = np.zeros((8, 8), dtype=complex)
-    for w, s in ens:
-        rho += w * np.outer(s.amps, s.amps.conj())
-    return DensityMatrix(rho)
+    return _mixture(ens.weights, [s.amps for s in ens.states])
+
+
+def _mixture(weights, amps):
+    """sum_j w_j |a_j><a_j| of a (k, d) amplitude stack, as a DensityMatrix.
+    Each outer product is formed, then weighted, then summed over the members
+    in their order, so a mixture has the same bits wherever it is built."""
+    a = np.asarray(amps, dtype=complex)
+    terms = np.asarray(weights, dtype=float)[:, None, None] * (a[:, :, None] * a[:, None, :].conj())
+    return DensityMatrix(terms.sum(axis=0))
 
 
 # einsum subscripts for tracing out qubits; row index (a,b,c), column index (d,e,f).

@@ -134,6 +134,43 @@ def test_vertices_validation():
         zero_tangle_vertices(2.0, 1.5)
     with pytest.raises(BadParamsError):
         vertex_states(0.5, 0.7)
+    # both vertex functions refuse a p0 outside (0, 1) with the same message
+    for p0 in (0.0, 1.0):
+        for f in (zero_tangle_vertices, vertex_states):
+            message = re.escape(f"p0 must lie in (0, 1), got {p0!r}")
+            with pytest.raises(BadParamsError, match=message):
+                f(2.0, p0)
+
+
+def paper_vertices(n, p0):
+    """The five vertices in the paper's coordinates xi_1..3, eta_1..2, written
+    out: W, W~, then Z(p0, (1-p0)/n) at the three symmetric phase pairs."""
+    s3 = np.sqrt(3.0)
+    xi1 = np.sqrt(p0 * (1.0 - p0) / n)
+    xi2 = np.sqrt(n - 1.0) * xi1
+    xi3 = np.sqrt(n - 1.0) * (1.0 - p0) / n
+    eta1 = (s3 / 2.0) * (1.0 - (n + 1.0) * (1.0 - p0) / n)
+    eta2 = 0.5 * (1.0 - 3.0 * (n - 1.0) * (1.0 - p0) / n)
+    h1, h2, h3 = (s3 / 2.0) * xi1, (s3 / 2.0) * xi2, (s3 / 2.0) * xi3
+    return np.array(
+        [
+            [0.0, 0.0, -s3 / 2.0, 0.0, 0.0, 0.0, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+            [-s3 * xi1, 0.0, eta1, -s3 * xi2, 0.0, s3 * xi3, 0.0, eta2],
+            [h1, -1.5 * xi1, eta1, h2, 1.5 * xi2, -h3, 1.5 * xi3, eta2],
+            [h1, 1.5 * xi1, eta1, h2, -1.5 * xi2, -h3, -1.5 * xi3, eta2],
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [1.0, 1.0 + 1e-15, 1.0 + 1e-9, 1.37, 2.0, 3.0, 10.0, 1e3, 1e6, 1e150])
+def test_vertices_match_the_paper_coordinates(n):
+    # the vertices are Gell-Mann images of qutrit vectors; the paper's explicit
+    # coordinates are the independent reference
+    p0 = solve_p0(n)
+    got = zero_tangle_vertices(n, p0)
+    assert got.shape == (5, 8)
+    assert np.max(np.abs(got - paper_vertices(n, p0))) <= 1e-15
 
 
 def test_membership_at_vertices():

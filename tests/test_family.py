@@ -10,6 +10,7 @@ from tritangle import (
     ensemble_average_tangle,
     ghz,
     ghz_minus,
+    mixed_three_tangle,
     one_tangle_min,
     optimal_decomposition,
     pi_state,
@@ -244,6 +245,42 @@ def test_optimal_decomposition_boundary_p0():
     # at p0 the W and flipped-W weights vanish, leaving the 3 symmetric members
     assert len(ens) == 3
     assert trace_distance(density_from_ensemble(ens), rho(th.p0, 1.0 - th.p0)) <= 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-9, 1e-6])
+def test_optimal_decomposition_near_n_equal_one(gap):
+    # the Z members take r = (n-1) q, so nothing cancels as n -> 1: the
+    # explicit ensembles stay on the closed form instead of dipping below it
+    n = 1.0 + gap
+    th = thresholds(n)
+    for p in (th.p0 / 2.0, (th.p0 + th.p1) / 2.0, (th.p1 + 1.0) / 2.0):
+        ens = optimal_decomposition(p, n, th)
+        assert abs(ensemble_average_tangle(ens) - mixed_three_tangle(p, n).value) <= 2e-15
+        assert trace_distance(density_from_ensemble(ens), rho(p, (1.0 - p) / n)) <= 1e-15
+
+
+def test_family_states_equal_their_outer_product_formulas():
+    # bit for bit: each mixture is the weighted outer products summed in order
+    def proj(a):
+        return np.outer(a, a.conj())
+
+    g, wv, wt, gm = ghz().amps, w().amps, w_tilde().amps, ghz_minus().amps
+    rng = np.random.default_rng(2802)
+    for _ in range(300):
+        p, u = rng.random(2)
+        p, q, r = check_pq(p, (1.0 - p) * u)
+        n = 1.0 + 10.0 ** rng.uniform(-15, 6)
+        phi1, phi2 = rng.uniform(-7.0, 7.0, 2)
+        assert np.array_equal(rho(p, q).mat, p * proj(g) + q * proj(wv) + r * proj(wt))
+        qn = (1.0 - p) / n
+        expect = p * proj(g) + qn * proj(wv) + ((1.0 - p) - qn) * proj(gm)
+        assert np.array_equal(pi_state(p, n).mat, expect)
+        expect = (
+            np.sqrt(p) * g
+            - np.exp(1j * phi1) * np.sqrt(q) * wv
+            - np.exp(1j * phi2) * np.sqrt(r) * wt
+        )
+        assert np.array_equal(z_state(p, q, phi1, phi2).amps, expect)
 
 
 def test_optimal_decomposition_threshold_mismatch():

@@ -107,7 +107,7 @@ def test_restricted_hyperdet_matches_amplitude_route(name):
     rng = np.random.default_rng(70)
     x = rng.standard_normal((3, 100, r)) + 1j * rng.standard_normal((3, 100, r))
     forms = roof._cayley_forms(basis)
-    assert forms.shape == (3, r, r)
+    assert forms.shape == (r, 3 * r)
     got = roof.restricted_hyperdet(x, forms)
     t = x @ basis
     expect = _hyperdet(*np.moveaxis(t, -1, 0))

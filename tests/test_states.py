@@ -155,6 +155,18 @@ def test_density_from_ensemble_diagonal_mix():
     assert np.max(np.abs(d.mat - expect)) <= 1e-15
 
 
+def test_mixtures_equal_the_per_member_sum():
+    # bit for bit: outer products, weighted, summed over the members in order
+    rng = np.random.default_rng(2803)
+    for k in range(1, 9):
+        ens = Ensemble([(wt, random_state(rng)) for wt in rng.dirichlet(np.ones(k))])
+        expect = np.zeros((8, 8), dtype=complex)
+        for wt, s in ens:
+            assert np.array_equal(s.density().mat, np.outer(s.amps, s.amps.conj()))
+            expect += wt * np.outer(s.amps, s.amps.conj())
+        assert np.array_equal(density_from_ensemble(ens).mat, expect)
+
+
 def test_symmetric_ensemble_reconstructs_rho():
     for p in np.linspace(0.0, 1.0, 6):
         for q in np.linspace(0.0, 1.0, 6):
