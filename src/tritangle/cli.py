@@ -105,7 +105,7 @@ def cmd_decompose(args):
     th = thresholds(n)
     p = check_p(args.p)  # one clipped p for the ensemble and the target it rebuilds
     ens = optimal_decomposition(p, n, th)
-    target = rho(p, (1.0 - p) / n)
+    target = rho(p, (1.0 - p) / th.n)  # th.n is n checked, as the ensemble takes it
     err = trace_distance(density_from_ensemble(ens), target)
     avg = ensemble_average_tangle(ens)
     analytic = mixed_three_tangle(p, n, th)

@@ -122,6 +122,7 @@ def optimal_decomposition(p, n, th):
     """
     p = check_p(p)
     check_thresholds(th, n)
+    n = check_n(n)
     p0, p1 = th.p0, th.p1
     if p < p0:
         members = [(p / (3.0 * p0), s) for s in _z_states(*_slice(p0, n))]

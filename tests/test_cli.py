@@ -191,6 +191,13 @@ def test_decompose_clips_p_once(capsys, outside, edge):
     assert parse_kv(got[1])["reconstruction_error"] == "0"
 
 
+def test_decompose_takes_n_a_rounding_below_one_as_one(capsys):
+    # check_n takes such an n as 1, for the ensemble and its target alike
+    got = run(capsys, ["decompose", "--p", "0.3", "--n", "0.9999999999999"])
+    assert got[0] == cli.EXIT_OK
+    assert got == run(capsys, ["decompose", "--p", "0.3", "--n", "1"])
+
+
 def test_decompose_zero_region(capsys):
     code, out, err = run(capsys, ["decompose", "--p", "0.3", "--n", "2"])
     assert code == cli.EXIT_OK

@@ -247,16 +247,18 @@ def test_optimal_decomposition_boundary_p0():
     assert trace_distance(density_from_ensemble(ens), rho(th.p0, 1.0 - th.p0)) <= 1e-12
 
 
-@pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("gap", [-1e-13, 1e-15, 1e-12, 1e-9, 1e-6])
 def test_optimal_decomposition_near_n_equal_one(gap):
     # the Z members take r = (n-1) q, so nothing cancels as n -> 1: the
-    # explicit ensembles stay on the closed form instead of dipping below it
+    # explicit ensembles stay on the closed form instead of dipping below it;
+    # an n within PARAM_TOL below 1 is taken as 1, as check_n does
     n = 1.0 + gap
     th = thresholds(n)
     for p in (th.p0 / 2.0, (th.p0 + th.p1) / 2.0, (th.p1 + 1.0) / 2.0):
         ens = optimal_decomposition(p, n, th)
         assert abs(ensemble_average_tangle(ens) - mixed_three_tangle(p, n).value) <= 2e-15
-        assert trace_distance(density_from_ensemble(ens), rho(p, (1.0 - p) / n)) <= 1e-15
+        target = rho(p, (1.0 - p) / th.n)
+        assert trace_distance(density_from_ensemble(ens), target) <= 1e-15
 
 
 def test_family_states_equal_their_outer_product_formulas():

@@ -208,9 +208,6 @@ def test_ensemble_average_tangle():
     expect = sum(wt * three_tangle_pure(s) for wt, s in ens)
     assert abs(avg - expect) <= 1e-14
     assert abs(ensemble_average_tangle(symmetric_ensemble(1.0, 0.0)) - 1.0) <= 1e-12
-
-
-def test_ensemble_average_tangle_equals_the_per_member_sum():
     # one kernel call on the stacked members gives each member's tangle bits
     rng = np.random.default_rng(2804)
     for k in range(1, 9):

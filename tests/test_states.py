@@ -153,10 +153,7 @@ def test_density_from_ensemble_diagonal_mix():
     expect = np.zeros((8, 8))
     expect[0, 0] = expect[7, 7] = 0.5
     assert np.max(np.abs(d.mat - expect)) <= 1e-15
-
-
-def test_mixtures_equal_the_per_member_sum():
-    # bit for bit: outer products, weighted, summed over the members in order
+    # random mixes, bit for bit: outer products, weighted, summed in member order
     rng = np.random.default_rng(2803)
     for k in range(1, 9):
         ens = Ensemble([(wt, random_state(rng)) for wt in rng.dirichlet(np.ones(k))])
