@@ -168,6 +168,9 @@ def cmd_oracle(args):
         analytic = mixed_three_tangle(p, n_eff)
         rec.update(family=True, p=p, n_eff=n_eff, **_n_flag(n_eff))
         rec.update(analytic=analytic.value, gap=result.upper_bound - analytic.value)
+    if args.json:
+        telemetry = ("restart_values", "restart_nfev", "restarts_agreeing", "restart_stops")
+        rec.update((key, getattr(result, key)) for key in telemetry)
     return [rec], EXIT_OK
 
 
@@ -242,6 +245,7 @@ def build_parser():
     p_orc.add_argument("--m", type=int, default=None)
     p_orc.add_argument("--restarts", type=int, default=20)
     p_orc.add_argument("--seed", type=int, default=0)
+    p_orc.add_argument("--json", action="store_true")
     p_orc.set_defaults(func=cmd_oracle)
 
     return parser

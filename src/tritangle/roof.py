@@ -24,13 +24,13 @@ _GOLDEN_STEPS = 80
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ELLIPSE_STEPS = 64
 _WEIGHT_FLOOR = 1e-14
-_SEARCH_MAXITER = 500
+_SEARCH_MAXITER = 2000
 _ARMIJO = 1e-4
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # 1/x is finite for x at or above this
 _AGREE_TOL = 1e-9
 _HALVINGS = 0.5 ** np.arange(4)
-_MEMORY = 8  # curvature pairs each restart keeps
+_MEMORY = 16  # curvature pairs each restart keeps
 
 
 class CharCurve(namedtuple("CharCurve", "n p tau_min phi1 phi2")):
@@ -202,21 +202,25 @@ class DecompositionSearchResult(
     namedtuple(
         "DecompositionSearchResult",
         "upper_bound best_ensemble restarts_used converged restart_values restart_nfev"
-        " restarts_agreeing",
+        " restarts_agreeing restart_stops",
     )
 ):
-    """Best ensemble found, plus each restart's final value and evaluation count.
+    """Best ensemble found, plus each restart's final value, evaluation count
+    and stop reason.
 
     upper_bound is restart_values[best], the search's own value at the first
     restart with the least value, and best_ensemble is that restart's ensemble.
-    converged says whether the best restart stopped on its stop test before the
-    iteration cap; restart_values and restart_nfev (the isometries each restart
-    evaluated, every trial of a line-search round included, also those past the
-    step it took) are in restart order; restarts_agreeing counts the restarts
-    whose final value lies within 1e-9 of the best. The search runs on the
-    rounded factor vecs * sqrt(vals) of rho, whose ensembles rebuild rho to
-    about 1e-16, so upper_bound can lie up to about 1.6e-15 below the exact
-    convex roof (-1.55e-15 was seen at n = 2, p = 0.841506).
+    restart_values, restart_nfev (the isometries each restart evaluated, every
+    trial of a line-search round included, also those past the step it took)
+    and restart_stops are in restart order. A restart stops with "no_step" when
+    no trial step showed a decrease above the rounding of its value, with
+    "small_step" when the step it took lowered the value by no more than that
+    rounding, and with "cap" when it reached the cap of 2000 iterations still
+    descending. converged is restart_stops[best] != "cap". restarts_agreeing
+    counts the restarts whose final value lies within 1e-9 of the best. The
+    search runs on the rounded factor vecs * sqrt(vals) of rho, whose ensembles
+    rebuild rho to about 1e-16, so upper_bound can lie up to about 1.6e-15 below
+    the exact convex roof (-1.55e-15 was seen at n = 2, p = 0.841506).
     """
 
     __slots__ = ()
@@ -342,20 +346,73 @@ def _riemannian_gradient(u, forms, lam):
     return _tangent(u, grad)
 
 
-def _two_loop(g, pairs, rho, gamma):
-    """The L-BFGS direction -H g of each restart by the two-loop recursion over
-    its stored pairs, as flat float rows (_flat): pairs[:, 0, i] is s_i and
-    pairs[:, 1, i] is y_i, oldest first, and an empty slot has rho = 0, so it
-    adds nothing."""
-    q = _flat(g).copy()
-    alphas = np.empty(rho.shape)
-    for i in reversed(range(rho.shape[1])):
-        alphas[:, i] = rho[:, i] * np.vecdot(pairs[:, 0, i], q)
-        q -= alphas[:, i, None] * pairs[:, 1, i]
-    q *= gamma[:, None]
-    for i in range(rho.shape[1]):
-        q += (alphas[:, i] - rho[:, i] * np.vecdot(pairs[:, 1, i], q))[:, None] * pairs[:, 0, i]
-    return -q.view(complex).reshape(g.shape)
+def _empty_memory(k, size):
+    """The curvature memory of k restarts with no pair stored, for steps of
+    size real coordinates: [pairs, rinv, yy, sy, gamma, slot].
+
+    pairs[:, 0] holds the rows s_i and pairs[:, 1] the rows y_i as flat float
+    rows (_flat), in _MEMORY slots filled in turn, so a new pair takes the slot
+    of the oldest once all are full and no row moves; slot is the one each
+    restart fills next. R is the upper triangle of S Y^T with the pairs in the
+    order they came; rinv is R^-1, yy is Y Y^T and sy the diagonal s_i . y_i,
+    each indexed by slot. An empty slot has zero rows, 0 in sy and yy, and 1 on
+    the diagonal of rinv, so it adds nothing.
+    """
+    return [
+        np.zeros((k, 2, _MEMORY, size)),
+        np.tile(np.eye(_MEMORY), (k, 1, 1)),
+        np.zeros((k, _MEMORY, _MEMORY)),
+        np.zeros((k, _MEMORY)),
+        np.ones(k),
+        np.zeros(k, dtype=int),
+    ]
+
+
+def _store(memory, s, y):
+    """Put the pair (s, y) of flat rows in each restart's next slot, where
+    <s, y> and <y, y> are at least the smallest normal number; elsewhere the
+    restart keeps its memory as it is.
+
+    One matmul gives the new columns S y of S Y^T and Y y of Y Y^T. Dropping
+    the oldest pair leaves R^-1 without its row and column, since R is upper
+    triangular in the order the pairs came; the new pair adds the column of the
+    block inverse [[R22^-1, -R22^-1 c / delta], [0, 1 / delta]], with c = S y
+    and delta = <s, y>. The initial inverse-Hessian scale gamma =
+    <s, y>/<y, y> is the newest pair's.
+    """
+    pairs, rinv, yy, sy, gamma, slot = memory
+    sy_new, yy_new = np.vecdot(s, y), np.vecdot(y, y)
+    keep = np.flatnonzero((sy_new >= _TINY) & (yy_new >= _TINY))
+    at, delta = slot[keep], sy_new[keep]
+    pairs[keep, 0, at], pairs[keep, 1, at] = s[keep], y[keep]
+    # S y and Y y, computed for every restart and used where it keeps its pair
+    col = (y[:, None] @ pairs.reshape(len(y), 2 * _MEMORY, -1).swapaxes(1, 2))[:, 0]
+    # the oldest pair's row of R^-1 drops out, and with it the only nonzero
+    # entry of its column, the diagonal one, as R is upper triangular
+    rinv[keep, at] = 0.0
+    rinv[keep, :, at] = (col[:, None, :_MEMORY] @ rinv.swapaxes(1, 2))[keep, 0] / -delta[:, None]
+    rinv[keep, at, at] = 1.0 / delta
+    yy[keep, at] = yy[keep, :, at] = col[keep, _MEMORY:]
+    sy[keep, at] = delta
+    gamma[keep] = delta / yy_new[keep]
+    slot[keep] = (at + 1) % _MEMORY
+
+
+def _direction(g, memory):
+    """The L-BFGS direction -H g of each restart from its memory (_store), by
+    the compact form of Byrd, Nocedal and Schnabel (Math. Prog. 63, 1994):
+    H g = gamma g + S^T z - gamma Y^T t, with t = R^-1 S g and
+    z = R^-T (diag(sy) t + gamma (Y Y^T t - Y g))."""
+    pairs, rinv, yy, sy, gamma = memory[:5]
+    flat = _flat(g)
+    rows = pairs.reshape(len(flat), 2 * _MEMORY, -1)
+    # row vectors times stacked matrices: the fastest layout of numpy's matmul here
+    sgyg = (flat[:, None] @ rows.swapaxes(1, 2))[:, 0]
+    t = (sgyg[:, None, :_MEMORY] @ rinv.swapaxes(1, 2))[:, 0]
+    inner = sy * t + gamma[:, None] * ((t[:, None] @ yy)[:, 0] - sgyg[:, _MEMORY:])
+    coef = np.concatenate(((inner[:, None] @ rinv)[:, 0], -gamma[:, None] * t), axis=1)
+    hg = gamma[:, None] * flat + (coef[:, None] @ rows)[:, 0]
+    return -hg.view(complex).reshape(g.shape)
 
 
 def _lbfgs_lockstep(u, forms, lam):
@@ -364,32 +421,30 @@ def _lbfgs_lockstep(u, forms, lam):
 
     Each restart keeps its last _MEMORY curvature pairs as computed, the step
     s = step d and the gradient change y = g_new - g, without moving them to
-    later points; the direction the two-loop recursion makes of them is
+    later points; the direction the compact form makes of them (_direction) is
     projected onto the tangent space at the new point. A pair is stored only
-    when <s, y> and <y, y> are at least the smallest normal number, so that its
-    1/<s, y> and the initial inverse-Hessian scale <s, y>/<y, y> are finite;
-    that scale comes from the newest stored pair. A direction that is not a
-    descent direction is replaced by steepest descent. Each step is an Armijo
-    backtracking search from a trial step of 1; each round tries the next
-    _HALVINGS.size halvings at once and takes the first that passes, and the
-    trial points of every restart still searching go in one objective call. A
-    restart stops when no step shows a decrease above the rounding of its
-    value, or when an accepted step lowers it by no more than that rounding,
-    and in any case after the iteration cap; gradients are computed only for
+    when <s, y> and <y, y> are at least the smallest normal number, so that
+    1/<s, y> and the initial inverse-Hessian scale <s, y>/<y, y> are finite
+    (_store). A direction that is not a descent direction is replaced by
+    steepest descent. Each step is an Armijo backtracking search from a trial
+    step of 1; each round tries the next _HALVINGS.size halvings at once and
+    takes the first that passes, and the trial points of every restart still
+    searching go in one objective call. A restart stops with "no_step" when no
+    trial shows a decrease above the rounding of its value, with "small_step"
+    when an accepted step lowers it by no more than that rounding, and with
+    "cap" after _SEARCH_MAXITER iterations; gradients are computed only for
     restarts that go on. Every restart's arithmetic is its own, so it ends as
     it would alone.
-    Returns (u, values, nfev, converged) in restart order.
+    Returns (u, values, nfev, stops) in restart order.
     """
     n_restarts, m, r = u.shape
     f = _average_tangle(u, forms, lam)
     g = _riemannian_gradient(u, forms, lam)
     d = -g
-    pairs = np.zeros((n_restarts, 2, _MEMORY, 2 * m * r))
-    rho = np.zeros((n_restarts, _MEMORY))
-    gamma = np.ones(n_restarts)
+    memory = _empty_memory(n_restarts, 2 * m * r)
     u_end, f_end = u.copy(), f.copy()
     nfev = np.ones(n_restarts, dtype=int)
-    converged = np.zeros(n_restarts, dtype=bool)
+    stops = ["cap"] * n_restarts
     rows = np.arange(n_restarts)  # the restart of each row still searching
     for _ in range(_SEARCH_MAXITER):
         slope = _inner(g, d)
@@ -421,25 +476,19 @@ def _lbfgs_lockstep(u, forms, lam):
 
         going = accepted & ~stalled
         if not going.all():
-            converged[rows[~going]] = True
-            rows, u, f, g, d, step, pairs, rho, gamma = (
-                x[going] for x in (rows, u, f, g, d, step, pairs, rho, gamma)
-            )
+            for k, took in zip(rows[~going].tolist(), accepted[~going].tolist()):
+                stops[k] = "small_step" if took else "no_step"
+            rows, u, f, g, d, step = (x[going] for x in (rows, u, f, g, d, step))
+            memory = [x[going] for x in memory]
             if not rows.size:
                 break
         g_new = _riemannian_gradient(u, forms, lam)
-        s, y = _flat(step[:, None, None] * d), _flat(g_new - g)
-        sy, yy = np.vecdot(s, y), np.vecdot(y, y)
-        keep = (sy >= _TINY) & (yy >= _TINY)
-        pairs[keep, :, :-1] = pairs[keep, :, 1:]
-        pairs[keep, 0, -1], pairs[keep, 1, -1] = s[keep], y[keep]
-        rho[keep] = np.concatenate((rho[keep, 1:], 1.0 / sy[keep, None]), axis=1)
-        gamma[keep] = sy[keep] / yy[keep]
-        d = _tangent(u, _two_loop(g_new, pairs, rho, gamma))
+        _store(memory, _flat(step[:, None, None] * d), _flat(g_new - g))
+        d = _tangent(u, _direction(g_new, memory))
         uphill = _inner(g_new, d) >= 0.0
         d[uphill] = -g_new[uphill]
         g = g_new
-    return u_end, f_end, nfev, converged
+    return u_end, f_end, nfev, stops
 
 
 def min_avg_tangle(rho, m, restarts=20, seed=0):
@@ -451,7 +500,9 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     on the m x r isometries with the analytic gradient of the average tangle.
     Both come from the hyperdeterminant restricted to the range of rho, in
     Cayley's form B_01^2 - B_00 B_11 with three quadratic forms in a member's r
-    mixing coefficients, so no member is formed in 8 amplitudes.
+    mixing coefficients, so no member is formed in 8 amplitudes. Each restart
+    keeps its last 16 curvature pairs and stops on its own stop test or after
+    2000 iterations; converged says the best restart stopped before that cap.
     """
     check_density(rho, 8, "min_avg_tangle")
     r = rank_of(rho)
@@ -467,15 +518,16 @@ def min_avg_tangle(rho, m, restarts=20, seed=0):
     x0s = np.array([np.random.default_rng(s).standard_normal(2 * m * r) for s in seeds])
     mr = m * r
     mats = x0s[:, :mr].reshape(-1, m, r) + 1j * x0s[:, mr:].reshape(-1, m, r)
-    u, funs, nfev, converged = _lbfgs_lockstep(_retract(mats), _cayley_forms(basis), lam)
+    u, funs, nfev, stops = _lbfgs_lockstep(_retract(mats), _cayley_forms(basis), lam)
     best = int(np.argmin(funs))  # the first of the minimal values
     ens = hjw_ensemble(rho, u[best])
     return DecompositionSearchResult(
         upper_bound=float(funs[best]),
         best_ensemble=ens,
         restarts_used=restarts,
-        converged=bool(converged[best]),
+        converged=stops[best] != "cap",
         restart_values=tuple(funs.tolist()),
         restart_nfev=tuple(nfev.tolist()),
         restarts_agreeing=int(np.sum(funs <= funs[best] + _AGREE_TOL)),
+        restart_stops=tuple(stops),
     )

@@ -365,6 +365,33 @@ def test_oracle_zero_region(tmp_path, capsys):
     assert float(kv["upper_bound"]) <= 1e-4
 
 
+def test_oracle_converges_in_the_zero_region(tmp_path, capsys):
+    # with 3 restarts the best one crept along a kink of |D| to a cap of 500
+    # iterations and 8 pairs, and printed converged=false at 1.07e-5
+    path = save(tmp_path, "rho.txt", rho(0.3, 0.35))
+    code, out, err = run(capsys, ["oracle", "--in", path, "--restarts", "3"])
+    assert code == cli.EXIT_OK
+    kv = parse_kv(out)
+    assert kv["converged"] == "true"
+    assert float(kv["upper_bound"]) <= 1e-12
+
+
+def test_oracle_json_adds_the_restart_telemetry(tmp_path, capsys):
+    path = save(tmp_path, "rho.txt", rho(0.9, 0.05))
+    _, text, _ = run(capsys, ["oracle", "--in", path, "--restarts", "3"])
+    code, out, err = run(capsys, ["oracle", "--in", path, "--restarts", "3", "--json"])
+    assert code == cli.EXIT_OK
+    (rec,) = json.loads(out)
+    kv = parse_kv(text)
+    # the key=value record, in its order, then the telemetry
+    assert list(rec) == [*kv, "restart_values", "restart_nfev", "restarts_agreeing", "restart_stops"]
+    assert {key: cli._fmt(rec[key]) for key in kv} == kv
+    assert min(rec["restart_values"]) == rec["upper_bound"]
+    assert len(rec["restart_nfev"]) == len(rec["restart_stops"]) == 3
+    assert 1 <= rec["restarts_agreeing"] <= 3
+    assert set(rec["restart_stops"]) <= {"no_step", "small_step", "cap"}
+
+
 def test_oracle_non_family_state(tmp_path, capsys):
     plus = pure_from_amplitudes(w().amps + w_tilde().amps)
     mix = density_from_ensemble(Ensemble([(0.5, ghz()), (0.5, plus)]))

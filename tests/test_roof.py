@@ -176,6 +176,7 @@ def test_roof_records_keep_their_fields():
                 "restart_values",
                 "restart_nfev",
                 "restarts_agreeing",
+                "restart_stops",
             ),
         ),
     ]

@@ -219,32 +219,49 @@ def test_gradient_is_tangent_and_retractions_are_isometries():
             assert np.all(diag.real > 0.0)
 
 
-def test_two_loop_matches_dense_bfgs_update():
-    # reference: H = V^T H V + rho s s^T with V = I - rho y s^T, from H = gamma I,
-    # oldest pair first, in the real coordinates where <a, b> = Re tr(a^H b)
+def test_compact_direction_matches_dense_bfgs_update():
+    # reference: H = V^T H V + rho s s^T with V = I - rho y s^T and rho = 1/<s, y>,
+    # from H = gamma I, oldest stored pair first, in the real coordinates where
+    # <a, b> = Re tr(a^H b); gamma = <s, y>/<y, y> of the newest stored pair
     rng = np.random.default_rng(66)
-    k, m, r, memory = 3, 5, 3, 4
-    pairs = rng.standard_normal((k, m, 2, memory, r)) + 1j * rng.standard_normal((k, m, 2, memory, r))
-    pairs[:, :, :, 0] = 0.0  # an empty slot
-    g = rng.standard_normal((k, m, r)) + 1j * rng.standard_normal((k, m, r))
-    # the recursion holds for any rho; an empty slot has rho = 0
-    rho_ = np.zeros((k, memory))
-    rho_[:, 1:] = rng.uniform(0.5, 2.0, (k, memory - 1))
-    gamma = rng.uniform(0.5, 2.0, k)
-    # each slot's (k, m, r) stack as the flat float rows the search stores
-    flat = roof._flat(pairs.transpose(0, 2, 3, 1, 4).reshape(-1, m, r)).reshape(k, 2, memory, -1)
-    direction = roof._two_loop(g, flat, rho_, gamma)
+    m, r, memory = 5, 3, roof._MEMORY
+    size = 2 * m * r
+    steps = memory + 3
+    # restart 0 stores every pair, more than _MEMORY, so its oldest drop out; restart 1 stores
+    # its first 5 and then skips, so its window keeps empty slots; restart 2
+    # skips one pair, at step 2, beside restarts that store theirs
+    stored = np.ones((3, steps), dtype=bool)
+    stored[1, 5:] = False
+    stored[2, 2] = False
+    # pairs of a quadratic with a positive definite Hessian, so <s, y> > 0
+    root = rng.standard_normal((3, size, size)) / np.sqrt(size)
+    hessians = np.eye(size) + root @ root.swapaxes(1, 2)
+    s = rng.standard_normal((steps, 3, size))
+    y = np.einsum("kab,tkb->tka", hessians, s)
+    y[~stored.T] = -s[~stored.T]  # <s, y> < 0: skipped
+    g = rng.standard_normal((3, m, r)) + 1j * rng.standard_normal((3, m, r))
 
-    def real(x):
-        return np.concatenate((x.real.ravel(), x.imag.ravel()))
+    def direction_after(rows):
+        state = roof._empty_memory(len(rows), size)
+        for t in range(steps):
+            roof._store(state, s[t, rows], y[t, rows])
+        return roof._direction(g[rows], state)
 
-    for j in range(k):
-        h = gamma[j] * np.eye(2 * m * r)
-        for i in range(memory):
-            s_i, y_i = real(pairs[j, :, 0, i]), real(pairs[j, :, 1, i])
-            v = np.eye(2 * m * r) - rho_[j, i] * np.outer(y_i, s_i)
-            h = v.T @ h @ v + rho_[j, i] * np.outer(s_i, s_i)
-        assert np.max(np.abs(real(direction[j]) + h @ real(g[j]))) <= 1e-12 * np.max(np.abs(h @ real(g[j])))
+    together = direction_after([0, 1, 2])
+    for j in range(3):
+        # each restart's direction is the one it gets alone
+        assert np.array_equal(together[j], direction_after([j])[0])
+        kept = np.flatnonzero(stored[j])[-memory:]
+        s_new, y_new = s[kept[-1], j], y[kept[-1], j]
+        h = np.dot(s_new, y_new) / np.dot(y_new, y_new) * np.eye(size)
+        for t in kept:
+            s_i, y_i = s[t, j], y[t, j]
+            rho_i = 1.0 / np.dot(s_i, y_i)
+            v = np.eye(size) - rho_i * np.outer(y_i, s_i)
+            h = v.T @ h @ v + rho_i * np.outer(s_i, s_i)
+        # the search's flat rows hold the real and imaginary part of each entry in turn
+        hg = h @ g[j].view(float).ravel()
+        assert np.max(np.abs(together[j].view(float).ravel() + hg)) <= 1e-12 * np.max(np.abs(hg))
 
 
 @pytest.mark.parametrize(
@@ -298,10 +315,11 @@ def test_upper_bound_is_the_best_restart_value(target):
 
 
 RANDOM_SEARCHES = [(r, m) for r in (2, 3, 4) for m in range(r, 9)]
-# these stop at the iteration cap, at 0.107, 0.026 and 2.9e-9: in each best
-# ensemble some member's tangle is near 0 (8.7e-8, 1.5e-5, 3.6e-11), on the kink
-# of |D| where L-BFGS slows (ROADMAP item 9)
-AT_THE_CAP = {(3, 5), (3, 6), (3, 8)}
+# this one stops at the iteration cap, at 0.0263: in its best ensemble three
+# members' tangles are near 0 (1.9e-11, 1.4e-7, 1.9e-11), on the kink of |D|
+# where L-BFGS slows (ROADMAP item 9); (3, 5) and (3, 8) stopped there too with
+# 8 pairs and a cap of 500 iterations
+AT_THE_CAP = {(3, 6)}
 
 
 @functools.cache
@@ -368,6 +386,20 @@ def test_iteration_cap_is_not_convergence(monkeypatch):
     monkeypatch.setattr(roof, "_SEARCH_MAXITER", 3)
     result = min_avg_tangle(rho(0.88, 0.06), m=5, restarts=2, seed=13)
     assert not result.converged
+
+
+def test_stop_reasons(monkeypatch):
+    target = rho(0.88, 0.06)
+    for r, m in RANDOM_SEARCHES:
+        result = random_search(r, m)[1]
+        best = result.restart_values.index(result.upper_bound)
+        assert len(result.restart_stops) == 6
+        assert set(result.restart_stops) <= {"no_step", "small_step", "cap"}
+        assert result.converged == (result.restart_stops[best] != "cap")
+    monkeypatch.setattr(roof, "_SEARCH_MAXITER", 3)
+    capped = min_avg_tangle(target, m=5, restarts=4, seed=13)
+    assert capped.restart_stops == ("cap",) * 4
+    assert not capped.converged
 
 
 SEARCH_SETTINGS = settings(derandomize=True, max_examples=10, deadline=None, database=None)
