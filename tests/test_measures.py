@@ -17,6 +17,7 @@ from tritangle import (
     three_tangle_pure,
     w,
 )
+from expanded_hyperdet import hyperdet
 
 Y = np.array([[0.0, -1j], [1j, 0.0]])
 YY = np.kron(Y, Y)
@@ -104,33 +105,30 @@ def test_tangle_from_amps_batched():
 
 
 def _tangle_on_strided_views(amps):
-    """The kernel written on strided views a[..., i], as the reference."""
+    """The expanded polynomial on strided views a[..., i], as the reference."""
     a = np.asarray(amps, dtype=complex)
-    a0, a1, a2, a3, a4, a5, a6, a7 = (a[..., i] for i in range(8))
-    d1 = a0**2 * a7**2 + a1**2 * a6**2 + a2**2 * a5**2 + a4**2 * a3**2
-    d2 = (
-        a0 * a7 * a3 * a4
-        + a0 * a7 * a5 * a2
-        + a0 * a7 * a6 * a1
-        + a3 * a4 * a5 * a2
-        + a3 * a4 * a6 * a1
-        + a5 * a2 * a6 * a1
-    )
-    d3 = a0 * a6 * a5 * a3 + a7 * a1 * a2 * a4
-    return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
+    return 4.0 * np.abs(hyperdet(*(a[..., i] for i in range(8))))
 
 
 def test_tangle_from_amps_equals_strided_reference():
-    # same values bit for bit, for single states and for stacks of any shape
+    # Cayley's form and the expanded polynomial are one polynomial
+    # (test_symbolic.py), so they differ by rounding only: within 1e-14 of
+    # |a|^4 on random rows, and not at all on small integers, where neither
+    # rounds; for single states and for stacks of any shape
     rng = np.random.default_rng(27)
     amps = rng.standard_normal((600, 8)) + 1j * rng.standard_normal((600, 8))
-    for row in amps[:200]:
+    ints = rng.integers(-3, 4, (600, 8)) + 1j * rng.integers(-3, 4, (600, 8))
+    scale = np.sum(np.abs(amps) ** 2, axis=-1) ** 2
+    for row, bound in zip(amps[:200], 1e-14 * scale):
+        assert abs(tangle_from_amps(row) - _tangle_on_strided_views(row[None])[0]) <= bound
+    for row in ints[:200]:
         assert tangle_from_amps(row) == _tangle_on_strided_views(row[None])[0]
     for shape in ((600, 8), (120, 5, 8), (4, 30, 5, 8)):
-        stack = amps.reshape(shape)
-        got = tangle_from_amps(stack)
+        got = tangle_from_amps(amps.reshape(shape))
         assert got.shape == shape[:-1]
-        assert np.array_equal(got, _tangle_on_strided_views(stack))
+        assert np.max(np.abs(got.ravel() - _tangle_on_strided_views(amps)) / scale) <= 1e-14
+        stack = ints.reshape(shape)
+        assert np.array_equal(tangle_from_amps(stack), _tangle_on_strided_views(stack))
 
 
 def test_tangle_from_amps_single_state_equals_stack_row():

@@ -26,7 +26,7 @@ from tritangle import (
     w_tilde,
 )
 from tritangle import roof
-from tritangle.measures import _hyperdet
+from expanded_hyperdet import hyperdet as _hyperdet
 
 
 def random_isometries(rng, count, m, r):
