@@ -175,7 +175,11 @@ def cmd_oracle(args):
 
 
 def _family_parameters(rho_in):
-    """(p, effective n) when the input is a diagonal GHZ/W/W~ mixture, else None."""
+    """(p, effective n) when the input is a diagonal GHZ/W/W~ mixture, else None.
+
+    A loaded matrix may have eigenvalues down to -1e-10, so its qutrit diagonal
+    can leave [0, 1] by that much: p is clipped to [0, 1] and n to at least 1.
+    """
     import numpy as np
 
     from .bloch import qutrit_project
@@ -188,14 +192,14 @@ def _family_parameters(rho_in):
     off = np.max(np.abs(s - np.diag(np.diag(s))))
     if off > 1e-10:
         return None
-    p = float(s[0, 0].real)
+    p = min(max(float(s[0, 0].real), 0.0), 1.0)
     q = float(s[1, 1].real)
     if q <= 1e-12:
         # pure GHZ/W~ mixture: bit-flip of the n=1 family, same tangle
         return p, 1.0
     if p >= 1.0 - 1e-15:
         return 1.0, 1.0
-    return p, (1.0 - p) / q
+    return p, max((1.0 - p) / q, 1.0)
 
 
 def build_parser():

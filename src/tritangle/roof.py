@@ -385,13 +385,13 @@ def _lbfgs_lockstep(u, forms, lam):
     (_store). A direction that is not a descent direction is replaced by
     steepest descent. Each step is an Armijo backtracking search from a trial
     step of 1; each round tries the next _HALVINGS.size halvings at once and
-    takes the first that passes, and the trial points of every restart still
-    searching go in one objective call. A restart stops with "no_step" when no
-    trial shows a decrease above the rounding of its value, with "small_step"
-    when an accepted step lowers it by no more than that rounding, and with
-    "cap" after _SEARCH_MAXITER iterations; gradients are computed only for
-    restarts that go on. Every restart's arithmetic is its own, so it ends as
-    it would alone.
+    takes the first that passes. The restarts still trying are all at the same
+    halving, so they share one ladder of trial steps, and their trial points go
+    in one objective call. A restart stops with "no_step" when no trial shows a
+    decrease above the rounding of its value, with "small_step" when an
+    accepted step lowers it by no more than that rounding, and with "cap" after
+    _SEARCH_MAXITER iterations; gradients are computed only for restarts that
+    go on. Every restart's arithmetic is its own, so it ends as it would alone.
     Returns (u, values, nfev, stops) in restart order.
     """
     n_restarts, m, r = u.shape
@@ -399,42 +399,36 @@ def _lbfgs_lockstep(u, forms, lam):
     g = _riemannian_gradient(u, forms, lam)
     d = -g
     memory = _empty_memory(n_restarts, 2 * m * r)
-    u_end, f_end = u.copy(), f.copy()
+    u_end, f_end = np.empty_like(u), np.empty_like(f)
     nfev = np.ones(n_restarts, dtype=int)
     stops = ["cap"] * n_restarts
     rows = np.arange(n_restarts)  # the restart of each row still searching
     for _ in range(_SEARCH_MAXITER):
         slope = _inner(g, d)
         floor = _EPS * f  # a decrease at or below this is rounding
-        alpha = np.ones(rows.size)
-        step = np.empty(rows.size)
-        accepted = np.zeros(rows.size, dtype=bool)
-        stalled = np.zeros(rows.size, dtype=bool)
-        trying = np.flatnonzero(-slope > floor)
+        step = np.zeros(rows.size)  # the step taken; 0 where no trial passed
+        going = np.zeros(rows.size, dtype=bool)
+        a = _HALVINGS  # the next halvings, the same for every restart still trying
+        trying = np.flatnonzero(-a[0] * slope > floor)
         while trying.size:
-            # the next halvings of each pending step, tried at once; the first
-            # one that passes is the one a halving loop would have taken
-            a = alpha[trying, None] * _HALVINGS
+            # the first halving that passes is the one a halving loop would take
             slopes = a * slope[trying, None]
-            trial = _retract(u[trying, None] + a[..., None, None] * d[trying, None])
+            trial = _retract(u[trying, None] + a[:, None, None] * d[trying, None])
             f_trial = _average_tangle(trial, forms, lam)
             nfev[rows[trying]] += _HALVINGS.size
             ok = (f_trial <= f[trying, None] + _ARMIJO * slopes) & (-slopes > floor[trying, None])
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
             won = trying[hit]
-            accepted[won] = True
-            stalled[won] = f[won] - f_trial[hit, first] <= floor[won]
-            u[won], f[won], step[won] = trial[hit, first], f_trial[hit, first], a[hit, first]
-            trying = trying[~hit]
-            alpha[trying] *= 0.5**_HALVINGS.size
-            trying = trying[-alpha[trying] * slope[trying] > floor[trying]]
-        u_end[rows], f_end[rows] = u, f
+            going[won] = f[won] - f_trial[hit, first] > floor[won]
+            u[won], f[won], step[won] = trial[hit, first], f_trial[hit, first], a[first]
+            a = a * 0.5**_HALVINGS.size
+            trying = trying[~hit & (-a[0] * slope[trying] > floor[trying])]
 
-        going = accepted & ~stalled
         if not going.all():
-            for k, took in zip(rows[~going].tolist(), accepted[~going].tolist()):
+            for k, took in zip(rows[~going].tolist(), step[~going].tolist()):
                 stops[k] = "small_step" if took else "no_step"
+            u_end[rows[~going]], f_end[rows[~going]] = u[~going], f[~going]
             rows, u, f, g, d, step = (x[going] for x in (rows, u, f, g, d, step))
             memory = [x[going] for x in memory]
             if not rows.size:
@@ -445,6 +439,7 @@ def _lbfgs_lockstep(u, forms, lam):
         uphill = _inner(g_new, d) >= 0.0
         d[uphill] = -g_new[uphill]
         g = g_new
+    u_end[rows], f_end[rows] = u, f  # the restarts that reached the cap
     return u_end, f_end, nfev, stops
 
 

@@ -21,6 +21,7 @@ from tritangle import (
     w,
     w_tilde,
 )
+from tritangle.family import _SPAN
 
 TABLE_P0 = (0.6269, 0.75, 0.7452, 0.712, 0.6604, 0.6382)
 TABLE_P1 = (0.7087, 0.9330, 0.9250, 0.8667, 0.7710, 0.7298)
@@ -418,6 +419,20 @@ def test_oracle_deterministic(tmp_path, capsys):
     _, first, _ = run(capsys, ["oracle", "--in", path, "--restarts", "2"])
     _, second, _ = run(capsys, ["oracle", "--in", path, "--restarts", "2"])
     assert first == second
+
+
+# qutrit diagonals (p, q, r) a loaded matrix may have, with eigenvalues down to
+# -1e-10: n_eff = (1 - p)/q falls a rounding below 1, and p lies above 1
+@pytest.mark.parametrize("diag", [(0.5, 0.5 + 5e-11, -5e-11), (1.0 + 5e-11, -2.5e-11, -2.5e-11)])
+def test_oracle_family_edge_of_the_loader(tmp_path, capsys, diag):
+    path = save(tmp_path, "edge.txt", DensityMatrix(_SPAN.T @ np.diag(diag) @ _SPAN.conj()))
+    code, out, err = run(capsys, ["oracle", "--in", path, "--restarts", "2"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    kv = parse_kv(out)
+    assert kv["family"] == "true"
+    assert kv["n_eff"] == "1"
+    assert 0.0 <= float(kv["p"]) <= 1.0
+    assert float(kv["analytic"]) == (1.0 if diag[0] > 1.0 else 0.0)
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--restarts", "0"), ("--m", "9")])

@@ -359,6 +359,34 @@ def test_restarts_are_independent():
     assert two.restart_nfev == four.restart_nfev[:2]
 
 
+LOCKSTEP_CASES = [
+    (rho(0.88, 0.06), 5),
+    (rho(0.3, 0.35), 5),
+    (rho(0.97, 0.01), 5),
+    (random_mixed_state(136, 3), 6),
+    (random_mixed_state(144, 4), 4),
+]
+
+
+def test_each_restart_ends_as_it_would_alone(monkeypatch):
+    # every restart of a stack, compared with the same isometry searched alone:
+    # a row mixed up when stopped restarts are dropped, or written to the wrong
+    # place when one stops, shows here
+    stops = set()
+    for cap in (roof._SEARCH_MAXITER, 3):
+        monkeypatch.setattr(roof, "_SEARCH_MAXITER", cap)
+        for seed, (target, m) in enumerate(LOCKSTEP_CASES):
+            forms, lam = search_form(target)
+            start = random_isometries(np.random.default_rng(seed), 6, m, lam.size)
+            u, f, nfev, stop = roof._lbfgs_lockstep(start.copy(), forms, lam)
+            for k in range(6):
+                u_k, f_k, nfev_k, stop_k = roof._lbfgs_lockstep(start[k : k + 1].copy(), forms, lam)
+                assert u[k].tobytes() == u_k[0].tobytes()
+                assert (f[k], nfev[k], stop[k]) == (f_k[0], nfev_k[0], stop_k[0])
+            stops.update(stop)
+    assert stops == {"no_step", "small_step", "cap"}
+
+
 def test_telemetry(monkeypatch):
     rows = []
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from expanded_hyperdet import hyperdet
+from tritangle.analytic import alpha_I, alpha_I_dd, solve_p0
 from tritangle.family import z_tangle_coefficients
 from tritangle.measures import _AMPLITUDE_FORMS
 
@@ -50,3 +51,45 @@ def test_z_state_hyperdeterminant_has_the_five_coefficients():
         got = z_tangle_coefficients(p, q)
         expect = coeffs(math.sqrt(p), math.sqrt(q), math.sqrt(1.0 - p - q))
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+def region_one_curve():
+    # alpha_I(p) as the library writes it, with m = n - 1 > 0 and _coeffs'
+    # three coefficients; p = u^2/(1 + u^2) maps u > 0 onto 0 < p < 1
+    m, u, p = sympy.symbols("m u p", positive=True)
+    n = m + 1
+    c_lin = 4 * sympy.sqrt(m) / n
+    c_quad = 4 * m / (3 * n**2)
+    c_root = 8 * sympy.sqrt(6 * n) * (1 + m ** sympy.Rational(3, 2)) / (9 * n**2)
+    alpha = p**2 - c_lin * p * (1 - p) - c_quad * (1 - p) ** 2 - c_root * sympy.sqrt(p * (1 - p) ** 3)
+    g = u**4 - c_lin * u**2 - c_root * u - c_quad  # solve_p0's quartic
+    return m, u, p, alpha, g, {p: u**2 / (1 + u**2)}
+
+
+CURVE_POINTS = [(p, n) for p in (0.05, 0.4, 0.75, 0.97) for n in (1.37, 2.0, 3.0, 10.0)]
+
+
+def test_alpha_i_is_the_p0_quartic_in_u():
+    m, u, p, alpha, g, at_u = region_one_curve()
+    assert sympy.simplify(alpha.subs(at_u) - (1 - at_u[p]) ** 2 * g) == 0
+    # the expression is the library's alpha_I, and g's root is solve_p0's
+    curve = sympy.lambdify((p, m), alpha)
+    quartic = sympy.lambdify((u, m), g)
+    for x, n in CURVE_POINTS:
+        assert abs(alpha_I(x, n) - curve(x, n - 1.0)) <= 1e-12
+    for n in (1.37, 2.0, 3.0, 10.0):
+        p0 = solve_p0(n)
+        assert abs(quartic(math.sqrt(p0 / (1.0 - p0)), n - 1.0)) <= 1e-12
+
+
+def test_alpha_i_dd_is_the_second_derivative():
+    m, u, p, alpha, g, at_u = region_one_curve()
+    n = m + 1
+    bracket = 9 * n**2 + 36 * n * sympy.sqrt(m) - 12 * m
+    c = sympy.sqrt(6 * n) * (1 + m ** sympy.Rational(3, 2))
+    closed = 2 / (9 * n**2) * (bracket - c * (8 * p**2 - 4 * p - 1) / sympy.sqrt(p**3 * (1 - p)))
+    assert sympy.simplify((sympy.diff(alpha, p, 2) - closed).subs(at_u)) == 0
+    second = sympy.lambdify((p, m), closed)
+    for x, n in CURVE_POINTS:
+        expect = second(x, n - 1.0)
+        assert abs(alpha_I_dd(x, n) - expect) <= 1e-12 * max(1.0, abs(expect))
